@@ -291,8 +291,6 @@ def build_parser():
 
     p = sub.add_parser("rigidity", help="rigidity analysis of a morphism file")
     p.add_argument("morphism")
-    p.add_argument("--witness", action="store_true", help="extract a witness (default on non-rigid input)")
-    p.add_argument("--lift", action="store_true", help="construct the lift (default on rigid input)")
     p.add_argument("--expect-rigid", action="store_true", help="exit 1 unless rigid")
     p.set_defaults(func=cmd_rigidity)
 

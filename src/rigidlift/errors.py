@@ -107,10 +107,6 @@ class MorphismNotRigid(RigidliftError):
     pass
 
 
-class AmbiguousTwoVertexExtension(RigidliftError):
-    pass
-
-
 class CompositionMismatch(RigidliftError):
     pass
 

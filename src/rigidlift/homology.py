@@ -1,6 +1,12 @@
-"""Exact rational cochain arithmetic: the cycle lattice, projection, the
-vectors h_l and P_v, and the bridges iota / iota-inverse between divisor
-classes and lattice data.  No floating point anywhere."""
+"""The rational reference model of the Jacobian: exact cochain arithmetic,
+the cycle lattice, projection, the vectors h_l and P_v, the bridges iota /
+iota-inverse between divisor classes and lattice data, and the cochain
+pushforward of a morphism.  No floating point anywhere.
+
+No library code calls this module; `rigidlift.orcyc` works on integer
+chains.  It stays in the package as the independent oracle that the tests
+compare the integer pushforward against, and because the benchmark in
+`perfbench/` imports it and traces its functions."""
 
 from __future__ import annotations
 
@@ -254,3 +260,9 @@ def iota_inverse(g, x, k, base_edge=None):
         coeffs[g.t(e)] = coeffs.get(g.t(e), 0) + a
         coeffs[g.o(e)] = coeffs.get(g.o(e), 0) - a
     return Divisor(g, coeffs)
+
+
+def pushforward_cochain(m, x):
+    """phi_* x: the source cochain x carried to the target, twisted by sgn."""
+    emap, sgn = m.edge_dict, m.sign_dict
+    return Cochain(m.target, {emap[e]: sgn[e] * c for e, c in x.items()})

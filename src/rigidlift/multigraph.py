@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -221,10 +220,6 @@ def _is_connected(g, removed_edges=frozenset(), removed_vertices=frozenset()):
 
 
 # -- invariants --------------------------------------------------------------
-
-
-def genus(g):
-    return g.genus
 
 
 def connectivity_profile(g):
@@ -535,13 +530,12 @@ def whitney_move(g, arch):
 
 
 def spanning_tree_count(g):
-    """Number of spanning trees, via the reduced Laplacian determinant."""
+    """Number of spanning trees: the reduced Laplacian determinant, by
+    fraction-free (Bareiss) integer elimination."""
     verts = [v for v in g.vertex_ids][1:]
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    if n == 0:
-        return 1
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for e in g.edge_ids:
         a, b = g.ends(e)
         if a in index:
@@ -551,20 +545,14 @@ def spanning_tree_count(g):
         if a in index and b in index:
             mat[index[a]][index[b]] -= 1
             mat[index[b]][index[a]] -= 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if mat[r][k] != 0), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    assert det.denominator == 1
-    return int(abs(det))
+        mat[k], mat[pivot] = mat[pivot], mat[k]
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                mat[r][c] = (mat[r][c] * mat[k][k] - mat[r][k] * mat[k][c]) // prev
+        prev = mat[k][k]
+    return abs(prev)

@@ -4,6 +4,7 @@ preservation, non-rigidity witnesses and lifting to graph isomorphisms."""
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,10 +28,10 @@ from .divisor import (
     theta_divisor,
     vertex_divisor,
 )
-from .homology import Cochain, h_edge, iota, iota_inverse, lattice_for, p_vertex
 from .multigraph import (
     connectivity_profile,
     cycle_through_edges,
+    fundamental_cycles,
     id_key,
     series_class_of,
     series_classes,
@@ -57,8 +58,6 @@ def require_orcyc_object(g):
 def _gf2_cycle_basis(g):
     """Fundamental cycles as GF(2) edge-index bitmasks."""
     index = {e: i for i, e in enumerate(g.edge_ids)}
-    from .multigraph import fundamental_cycles
-
     basis = []
     for cyc in fundamental_cycles(g):
         mask = 0
@@ -97,8 +96,6 @@ def validate_cyclic_bijection(g, h, edge_map, require_base=True):
         return False
     index_h = {e: i for i, e in enumerate(h.edge_ids)}
     target_basis = _gf2_cycle_basis(h)
-    from .multigraph import fundamental_cycles
-
     for cyc in fundamental_cycles(g):
         mask = 0
         for e in cyc.edges:
@@ -228,9 +225,41 @@ def inverse_morphism(m):
 # -- pushforwards ------------------------------------------------------------
 
 
-def pushforward_cochain(m, x):
+def _pushforward(m):
+    """phi_* on divisors: a function d -> D on the target with phi_*[d] = [D].
+
+    p_v is the integer chain of the search-tree path from t0 = t(base) to v,
+    so [v - t0] = [boundary p_v].  A signed permutation that carries the
+    cycle lattice onto itself also carries the cut lattice onto itself, so
+    phi_*[boundary y] = [boundary phi_*(y)] for every integer chain y.  With
+    img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)]."""
+    g, h = m.source, m.target
     emap, sgn = m.edge_dict, m.sign_dict
-    return Cochain(m.target, {emap[e]: sgn[e] * c for e, c in x.items()})
+    img = {g.base_head: {}}
+    queue = deque([g.base_head])
+    while queue:
+        u = queue.popleft()
+        for e in g.incident(u):
+            w = g.other_end(e, u)
+            if w in img:
+                continue
+            c = sgn[e] if g.t(e) == w else -sgn[e]
+            r = emap[e]
+            step = dict(img[u])
+            step[h.t(r)] = step.get(h.t(r), 0) + c
+            step[h.o(r)] = step.get(h.o(r), 0) - c
+            img[w] = step
+            queue.append(w)
+    t0 = h.base_head
+
+    def push(d):
+        coeffs = {t0: d.degree}
+        for v, k in d.items():
+            for w, a in img[v].items():
+                coeffs[w] = coeffs.get(w, 0) + k * a
+        return Divisor(h, coeffs)
+
+    return push
 
 
 def pushforward_orientation(m, u):
@@ -247,48 +276,34 @@ def pushforward_orientation(m, u):
 
 
 def pushforward_class(m, cls):
-    """Image of a degree-0 class under iota -> pushforward -> iota-inverse."""
-    x, k = iota(m.source, cls.representative)
-    y = pushforward_cochain(m, x)
-    return DivisorClass(m.target, iota_inverse(m.target, y, k))
+    """phi_*[cls] as a class on the target (any degree)."""
+    return DivisorClass(m.target, _pushforward(m)(cls.representative))
 
 
 # -- rigidity ----------------------------------------------------------------
 
 
 def rigidity_divisor(m):
-    """E_phi as a degree-0 divisor class on the target."""
-    g, h = m.source, m.target
-    xg, kg = iota(g, chern_class(base_orientation(g)))
-    xh, kh = iota(h, chern_class(base_orientation(h)))
-    assert kg == kh
-    defect = pushforward_cochain(m, xg) - xh
-    lat_h = lattice_for(h)
-    for e, sgn in m.signs:
-        if sgn == -1:
-            defect = defect + h_edge(lat_h, m.map_edge(e))
-    return DivisorClass(h, iota_inverse(h, defect, 0))
+    """E_phi = phi_*[c(O_G)] - [c(O_H)] + sum over sign -1 edges e of
+    [t(phi e) - o(phi e)] as a degree-0 class on the target.  That sum is
+    c(O_H) - c(phi_O(O_G)), so E_phi is the diagram defect of O_G."""
+    return diagram_defect(m, base_orientation(m.source))
 
 
 def lowering_divisor(m, edge_set):
-    """L_X = sum over X of (P_{t(phi(e))} - phi_*(P_{t(e)})) as a class."""
+    """L_X = sum over X of ([t(phi(e)) - t0'] - phi_*[t(e) - t0]), which is
+    [sum over X of t(phi(e))] - phi_*[sum over X of t(e)]."""
     g, h = m.source, m.target
-    total = Cochain(h)
-    for e in sorted(edge_set, key=id_key):
-        total = total + p_vertex(h, h.t(m.map_edge(e))) - pushforward_cochain(
-            m, p_vertex(g, g.t(e))
-        )
-    return DivisorClass(h, iota_inverse(h, lattice_for(h).project(total), 0))
+    emap = m.edge_dict
+    heads = Divisor(h, Counter(h.t(emap[e]) for e in edge_set))
+    tails = Divisor(g, Counter(g.t(e) for e in edge_set))
+    return DivisorClass(h, heads - _pushforward(m)(tails))
 
 
 def diagram_defect(m, u):
-    """phi_* iota c(U) - iota c(phi_O(U)) as a degree-0 class on the target."""
-    g, h = m.source, m.target
-    xg, kg = iota(g, chern_class(u))
-    xh, kh = iota(h, chern_class(pushforward_orientation(m, u)))
-    assert kg == kh
-    defect = pushforward_cochain(m, xg) - xh
-    return DivisorClass(h, iota_inverse(h, defect, 0))
+    """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target."""
+    image = _pushforward(m)(chern_class(u))
+    return DivisorClass(m.target, image - chern_class(pushforward_orientation(m, u)))
 
 
 def _require_genus(m):
@@ -307,23 +322,18 @@ def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
     g, h = m.source, m.target
     theta_g = theta_divisor(g, max_classes=max_classes)
     theta_h = theta_divisor(h, max_classes=max_classes)
-    image = {pushforward_class(m, c) for c in theta_g}
-    return image == theta_h
+    push = _pushforward(m)
+    return {DivisorClass(h, push(c.representative)) for c in theta_g} == theta_h
 
 
 def s1_image_preserved(m):
-    """Whether the image of the degree-1 Abel-Jacobi map is carried over."""
+    """Whether the image of the degree-1 Abel-Jacobi map is carried over:
+    {phi_*[v]} = {[w]}, both sides translated by the base heads."""
     _require_genus(m)
     g, h = m.source, m.target
-    src = {
-        DivisorClass(g, vertex_divisor(g, v) - vertex_divisor(g, g.base_head))
-        for v in g.vertices
-    }
-    dst = {
-        DivisorClass(h, vertex_divisor(h, w) - vertex_divisor(h, h.base_head))
-        for w in h.vertices
-    }
-    return {pushforward_class(m, c) for c in src} == dst
+    push = _pushforward(m)
+    src = {DivisorClass(h, push(vertex_divisor(g, v))) for v in g.vertices}
+    return src == {DivisorClass(h, vertex_divisor(h, w)) for w in h.vertices}
 
 
 def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
@@ -337,6 +347,7 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
     theta_h = theta_divisor(h, max_classes=max_classes)
     e_rep = rigidity_divisor(m).representative
     inv = inverse_morphism(m)
+    push = _pushforward(m)
     for v in sorted(h.vertex_ids, key=id_key):
         q = e_rep + vertex_divisor(h, v)
         if is_effective_class(h, q):
@@ -349,12 +360,12 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
         u = pushforward_orientation(inv, w_orient)
         s_div = chern_class(u) - Divisor(g, {g.base_head: gen - 1})
         s = DivisorClass(g, s_div)
-        image = pushforward_class(m, s)
+        image = DivisorClass(h, push(s.representative))
         if s in theta_g and image not in theta_h:
             return s, image
     # Fallback: direct search over the source theta divisor.
     for s in sorted(theta_g, key=lambda c: tuple(c.representative.items())):
-        image = pushforward_class(m, s)
+        image = DivisorClass(h, push(s.representative))
         if image not in theta_h:
             return s, image
     raise InternalError("non-rigid morphism but theta image matches")
@@ -371,20 +382,12 @@ def lift_to_graph_isomorphism(m):
         raise MorphismNotRigid("only rigid morphisms lift")
     g, h = m.source, m.target
     emap = m.edge_dict
-
-    # Degree-1 Abel-Jacobi classes of the target, for locating image vertices.
-    class_of_vertex = {}
-    for r in h.vertex_ids:
-        cls = DivisorClass(
-            h, vertex_divisor(h, r) - vertex_divisor(h, h.base_head)
-        )
-        class_of_vertex[r] = cls
+    push = _pushforward(m)
+    class_of_vertex = {r: DivisorClass(h, vertex_divisor(h, r)) for r in h.vertex_ids}
 
     def locate(p):
-        """The target vertex r with phi_*(P_p) equivalent to P_r."""
-        x = p_vertex(g, p)
-        pushed = pushforward_cochain(m, x)
-        cls = DivisorClass(h, iota_inverse(h, lattice_for(h).project(pushed), 0))
+        """The target vertex r with phi_*[p] = [r]."""
+        cls = DivisorClass(h, push(vertex_divisor(g, p)))
         matches = [r for r, c in class_of_vertex.items() if c == cls]
         if len(matches) != 1:
             raise InternalError(f"vertex image for {p!r} is not unique: {matches}")

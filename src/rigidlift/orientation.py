@@ -5,6 +5,7 @@ biorientation duality."""
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -195,30 +196,31 @@ def is_sourceless(u):
     return all(c > 0 for c in indeg.values())
 
 
+def _topological_order(u):
+    """Kahn's algorithm over the arcs of u, smallest ready vertex first, or
+    None if the arcs contain a directed cycle (a bioriented edge is a
+    2-cycle)."""
+    g = u.graph
+    heads_from = {v: [] for v in g.vertex_ids}
+    indeg = dict.fromkeys(g.vertex_ids, 0)
+    for tail, head, _ in u.arcs():
+        heads_from[tail].append(head)
+        indeg[head] += 1
+    ready = [(id_key(v), v) for v in g.vertex_ids if indeg[v] == 0]  # sorted: a heap
+    order = []
+    while ready:
+        _, v = heapq.heappop(ready)
+        order.append(v)
+        for w in heads_from[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, (id_key(w), w))
+    return order if len(order) == len(indeg) else None
+
+
 def is_acyclic(u):
     """No consistently oriented cycle among the oriented edges."""
-    arcs_from = {v: [] for v in u.graph.vertices}
-    for tail, head, e in u.arcs():
-        arcs_from[tail].append((head, e))
-    color = {v: 0 for v in u.graph.vertices}
-
-    def dfs(v, in_edge):
-        color[v] = 1
-        for w, e in arcs_from[v]:
-            # A single bioriented edge yields a 2-cycle; a singly oriented
-            # edge must not be re-crossed backwards (it can't be, arcs are
-            # one-way), so any gray hit is a genuine oriented cycle.
-            if color[w] == 1:
-                return False
-            if color[w] == 0 and not dfs(w, e):
-                return False
-        color[v] = 2
-        return True
-
-    for v in u.graph.vertex_ids:
-        if color[v] == 0 and not dfs(v, None):
-            return False
-    return True
+    return _topological_order(u) is not None
 
 
 # -- equivalence moves -------------------------------------------------------
@@ -565,22 +567,8 @@ def effectiveness_certificate(g, q):
 def complete_acyclically(g, u):
     """Extend an acyclic partial orientation to a full one via a topological
     total order; existing arcs are preserved and in-degrees only grow."""
-    arcs_from = {v: [] for v in g.vertex_ids}
-    indeg = {v: 0 for v in g.vertex_ids}
-    for tail, head, e in u.arcs():
-        arcs_from[tail].append(head)
-        indeg[head] += 1
-    order = []
-    ready = sorted((v for v in g.vertex_ids if indeg[v] == 0), key=id_key)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in arcs_from[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort(key=id_key)
-    if len(order) != len(g.vertex_ids):
+    order = _topological_order(u)
+    if order is None:
         raise InvalidMove("orientation is not acyclic")
     return orientation_from_order(g, order)
 

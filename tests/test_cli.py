@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rigidlift
 from rigidlift.cli import main
 from rigidlift.divisor import Divisor
 from rigidlift.errors import ParseError, ValidationError
@@ -393,6 +398,24 @@ class TestCliOrient:
             ],
         )
         assert code == 0 and out["branch"] == "acyclic"
+
+    def test_certify_on_long_cycle_needs_no_recursion(self, tmp_path):
+        n = 1200
+        graph = tmp_path / "cycle.graph"
+        graph.write_text(
+            "".join(f"edge e{i} v{i} v{(i + 1) % n}\n" for i in range(n)) + "base e0\n"
+        )
+        src = str(Path(rigidlift.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidlift.cli", "--no-timings", "orient", str(graph), "certify", "div v5:-1"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["branch"] == "acyclic"
 
 
 class TestCliSelftest:

@@ -10,7 +10,7 @@ from rigidlift.errors import (
     MorphismNotRigid,
     NotBijection,
 )
-from rigidlift.homology import iota, lattice_for
+from rigidlift.homology import iota, lattice_for, pushforward_cochain
 from rigidlift.multigraph import build_graph
 from rigidlift.orcyc import (
     MatroidLift,
@@ -27,7 +27,6 @@ from rigidlift.orcyc import (
     make_morphism,
     nonrigidity_witness,
     pushforward_class,
-    pushforward_cochain,
     pushforward_orientation,
     rigidity_divisor,
     s1_image_preserved,

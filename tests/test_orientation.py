@@ -292,6 +292,38 @@ class TestCompleteAcyclically:
             complete_acyclically(four_cycle, base_orientation(four_cycle))
 
 
+def _has_directed_cycle(u):
+    """Oracle: some vertex reaches itself along one or more arcs."""
+    succ = {v: set() for v in u.graph.vertices}
+    for tail, head, _ in u.arcs():
+        succ[tail].add(head)
+    for v in u.graph.vertices:
+        seen, stack = set(), list(succ[v])
+        while stack:
+            w = stack.pop()
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.extend(succ[w])
+    return False
+
+
+class TestIsAcyclic:
+    def test_bioriented_edge_is_a_two_cycle(self, K):
+        lone = PartialOrientation(K, {"r1": EdgeState.FORWARD})
+        assert is_acyclic(lone)
+        assert not is_acyclic(lone.with_states({"r1": EdgeState.BIORIENTED}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reachability_oracle(self, G, K, data):
+        g = data.draw(st.sampled_from([G, K]))
+        states = {e: data.draw(st.sampled_from(list(EdgeState))) for e in g.edge_ids}
+        u = PartialOrientation(g, states)
+        assert is_acyclic(u) == (not _has_directed_cycle(u))
+
+
 class TestSourcelessAcyclicDichotomy:
     def test_degree_gminus1_dichotomy(self, K):
         from rigidlift.divisor import enumerate_picard
