@@ -4,8 +4,10 @@ Picard enumeration and the discrete theta divisor."""
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import deque
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -110,94 +112,139 @@ def laplacian_fire(g, script):
     return Divisor(g, out)
 
 
-def _fire_set(g, d, vertex_set, times=1):
-    delta = {v: 0 for v in g.vertices}
+class _Core(NamedTuple):
+    verts: tuple  # vertices in id order; index i is verts[i]
+    nbrs: tuple  # per index: ((neighbour index, edge multiplicity), ...)
+    depth: tuple  # per index: BFS distance from q
+    q: int  # index of q
+
+
+@lru_cache(maxsize=256)
+def _core(g, q):
+    """The vertex-indexed view of g rooted at q that reduction, burning and
+    enumeration work on: vertices in id order, neighbour lists with edge
+    multiplicities and BFS depths from q."""
+    verts = g.vertex_ids
+    index = {v: i for i, v in enumerate(verts)}
+    mult = [{} for _ in verts]
     for e in g.edge_ids:
         a, b = g.ends(e)
-        if (a in vertex_set) != (b in vertex_set):
-            src, dst = (a, b) if a in vertex_set else (b, a)
-            delta[src] -= times
-            delta[dst] += times
-    return d + Divisor(g, delta)
-
-
-def _bfs_distances(g, q):
-    dist = {q: 0}
-    queue = deque([q])
+        i, j = index[a], index[b]
+        mult[i][j] = mult[i].get(j, 0) + 1
+        mult[j][i] = mult[j].get(i, 0) + 1
+    nbrs = tuple(tuple(sorted(m.items())) for m in mult)
+    qi = index[q]
+    depth = [-1] * len(verts)
+    depth[qi] = 0
+    queue = deque([qi])
     while queue:
-        v = queue.popleft()
-        for e in sorted(g.incident(v), key=id_key):
-            w = g.other_end(e, v)
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+        i = queue.popleft()
+        for j, _ in nbrs[i]:
+            if depth[j] < 0:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return _Core(verts, nbrs, tuple(depth), qi)
+
+
+def _divisor_from_list(g, verts, c):
+    """Divisor with coefficient c[i] at verts[i], where verts is g.vertex_ids."""
+    d = Divisor.__new__(Divisor)
+    items = tuple((v, x) for v, x in zip(verts, c) if x)
+    d.graph = g
+    d._coeffs = dict(items)
+    d._hash = hash((g, items))
+    return d
+
+
+def _burn(core, c):
+    """Dhar's burning from q: vertex i catches fire once more edges join it
+    to burnt vertices than c[i].  Returns the burnt flags and, per vertex,
+    the number of edges to burnt vertices (exact for unburnt vertices)."""
+    nbrs, qi = core.nbrs, core.q
+    burnt = [False] * len(c)
+    counts = [0] * len(c)
+    burnt[qi] = True
+    stack = [qi]
+    while stack:
+        i = stack.pop()
+        for j, m in nbrs[i]:
+            if not burnt[j]:
+                counts[j] += m
+                if counts[j] > c[j]:
+                    burnt[j] = True
+                    stack.append(j)
+    return burnt, counts
 
 
 def q_reduce(g, d, q):
     """The unique q-reduced divisor linearly equivalent to d."""
     if q not in g.vertices:
         raise ValidationError(f"vertex {q!r} not in graph")
-    dist = _bfs_distances(g, q)
-    coeffs = {v: d[v] for v in g.vertices}
-    d = Divisor(g, coeffs)
-    max_dist = max(dist.values())
+    core = _core(g, q)
+    nbrs, depth = core.nbrs, core.depth
+    c = [d[v] for v in core.verts]
 
     # Phase 1: clear debt working outward-in; firing the ball of radius k-1
-    # only adds chips at distance >= k.
-    for k in range(max_dist, 0, -1):
-        ring = [v for v in g.vertex_ids if dist[v] == k]
-        ball = {v for v in g.vertices if dist[v] < k}
-        while any(d[v] < 0 for v in ring):
-            gain = {}
-            for v in ring:
-                if d[v] >= 0:
-                    continue
-                into = sum(
-                    1
-                    for e in g.incident(v)
-                    if g.other_end(e, v) in ball
-                )
-                gain[v] = into
-            times = max((-d[v] + gain[v] - 1) // gain[v] for v in gain)
-            d = _fire_set(g, d, ball, max(times, 1))
+    # only adds chips at distance k, enough of them to clear ring k at once.
+    levels = [[] for _ in range(max(depth) + 1)]
+    for i, k in enumerate(depth):
+        levels[k].append(i)
+    for k in range(len(levels) - 1, 0, -1):
+        times = 0
+        for i in levels[k]:
+            if c[i] < 0:
+                gain = sum(m for j, m in nbrs[i] if depth[j] < k)
+                times = max(times, (gain - c[i] - 1) // gain)
+        if times:
+            for i in levels[k - 1]:
+                for j, m in nbrs[i]:
+                    if depth[j] == k:
+                        c[i] -= times * m
+                        c[j] += times * m
 
-    # Phase 2: Dhar's burning algorithm.
+    # Phase 2: Dhar's burning algorithm; fire the unburnt set as many times
+    # in a row as it stays legal, then burn again.
     while True:
-        burnt = {q}
-        changed = True
-        while changed:
-            changed = False
-            for v in g.vertex_ids:
-                if v in burnt:
-                    continue
-                incoming = sum(1 for e in g.incident(v) if g.other_end(e, v) in burnt)
-                if incoming > d[v]:
-                    burnt.add(v)
-                    changed = True
-        if len(burnt) == len(g.vertices):
-            return d
-        unburnt = set(g.vertices) - burnt
-        d = _fire_set(g, d, unburnt)
+        burnt, counts = _burn(core, c)
+        unburnt = [i for i, b in enumerate(burnt) if not b]
+        if not unburnt:
+            return _divisor_from_list(g, core.verts, c)
+        times = min(c[i] // counts[i] for i in unburnt if counts[i])
+        for i in unburnt:
+            c[i] -= times * counts[i]
+            for j, m in nbrs[i]:
+                if burnt[j]:
+                    c[j] += times * m
 
 
 def dhar_burn_order(g, d, q):
-    """Burning order from q for a q-reduced divisor d (q first; all burn)."""
-    order = [q]
-    burnt = {q}
-    while len(burnt) < len(g.vertices):
-        progressed = False
-        for v in g.vertex_ids:
-            if v in burnt:
-                continue
-            incoming = sum(1 for e in g.incident(v) if g.other_end(e, v) in burnt)
-            if incoming > d[v]:
-                order.append(v)
-                burnt.add(v)
-                progressed = True
-                break
-        if not progressed:
-            raise ValidationError("divisor is not q-reduced: burning stalls")
+    """Burning order from q for a q-reduced divisor d (q first; all burn).
+    At each step the first burnable vertex in id order burns."""
+    if q not in g.vertices:
+        raise ValidationError(f"vertex {q!r} not in graph")
+    core = _core(g, q)
+    verts, nbrs, qi = core.verts, core.nbrs, core.q
+    c = [d[v] for v in verts]
+    counts = [0] * len(c)
+    ready = [i for i, x in enumerate(c) if x < 0 and i != qi]
+    lit = [x < 0 for x in c]
+    lit[qi] = True
+    heapq.heapify(ready)
+    order = []
+    i = qi
+    while True:
+        order.append(verts[i])
+        for j, m in nbrs[i]:
+            if not lit[j]:
+                counts[j] += m
+                if counts[j] > c[j]:
+                    lit[j] = True
+                    heapq.heappush(ready, j)
+        if not ready:
+            break
+        i = heapq.heappop(ready)
+    if len(order) < len(verts):
+        raise ValidationError("divisor is not q-reduced: burning stalls")
     return order
 
 
@@ -227,6 +274,15 @@ class DivisorClass:
         self.graph = graph
         self.representative = q_reduce(graph, d, graph.base_head)
         self._hash = hash((graph, self.representative))
+
+    @classmethod
+    def _of_reduced(cls, graph, rep):
+        """The class of rep, which is already reduced at t(base edge)."""
+        self = cls.__new__(cls)
+        self.graph = graph
+        self.representative = rep
+        self._hash = hash((graph, rep))
+        return self
 
     @property
     def degree(self):
@@ -280,41 +336,50 @@ def abel_jacobi(g, points, base_edge=None):
 
 
 def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
-    """All divisor classes of the given degree (finite; desk scale)."""
-    q0 = g.base_head
-    start = DivisorClass(g, Divisor(g, {q0: degree}))
-    seen = {start}
-    frontier = deque([start])
-    verts = g.vertex_ids
-    while frontier:
-        cls = frontier.popleft()
-        rep = cls.representative
-        for p in verts:
-            for q in verts:
-                if p == q:
-                    continue
-                nxt = DivisorClass(g, rep + Divisor(g, {p: 1, q: -1}))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > max_classes:
-                        raise EnumerationBoundExceeded(
-                            f"more than {max_classes} classes"
-                        )
-                    frontier.append(nxt)
-    return frozenset(seen)
+    """All divisor classes of the given degree (finite; desk scale).
+
+    With q = t(base edge), the q-reduced divisors of degree d are exactly
+    s + (d - |s|) q for the superstable configurations s on V - q, which form
+    an order ideal.  A depth-first search reaches each superstable once, from
+    its parent: s minus one chip on its last non-zero vertex.  Each child is
+    tested by one Dhar burn, so no q-reduction runs."""
+    core = _core(g, g.base_head)
+    verts, qi = core.verts, core.q
+    others = [i for i in range(len(verts)) if i != qi]
+
+    def class_of(s, size):
+        rep = list(s)
+        rep[qi] = degree - size
+        return DivisorClass._of_reduced(g, _divisor_from_list(g, verts, rep))
+
+    zero = (0,) * len(verts)
+    found = [class_of(zero, 0)]
+    stack = [(zero, 0, 0)]  # (superstable, first child position, |s|)
+    while stack:
+        s, first, size = stack.pop()
+        for p in range(first, len(others)):
+            child = list(s)
+            child[others[p]] += 1
+            if not all(_burn(core, child)[0]):
+                continue
+            found.append(class_of(child, size + 1))
+            if len(found) > max_classes:
+                raise EnumerationBoundExceeded(f"more than {max_classes} classes")
+            stack.append((child, p, size + 1))
+    return frozenset(found)
 
 
 @lru_cache(maxsize=None)
 def _theta_cached(g, base_edge, max_classes):
-    gr = g.with_base(base_edge) if base_edge != g.base_edge else g
     gen = g.genus
-    t0 = gr.base_head
-    theta = set()
-    for cls in enumerate_picard(g, 0, max_classes):
-        shifted = cls.representative + Divisor(g, {t0: gen - 1})
-        if is_effective_class(g, shifted):
-            theta.add(cls)
-    return frozenset(theta)
+    t0 = g.with_base(base_edge).base_head
+    classes = enumerate_picard(g, 0, max_classes)
+    if t0 == g.base_head:
+        # The representative s - |s| t0 of c is t0-reduced, and so is
+        # s + (g - 1 - |s|) t0: c + (g-1) t0 is effective iff |s| <= g - 1.
+        return frozenset(c for c in classes if c.representative[t0] >= 1 - gen)
+    shift = Divisor(g, {t0: gen - 1})
+    return frozenset(c for c in classes if is_effective_class(g, c.representative + shift))
 
 
 def theta_divisor(g, base_edge=None, max_classes=DEFAULT_MAX_CLASSES):

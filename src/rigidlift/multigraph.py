@@ -307,29 +307,46 @@ def cycle_through_edges(g, a, b, seed=None):
     start, first_stop = g.o(a), g.t(a)
     target = start
 
-    # Depth-first search over simple paths extending edge `a` forward.
-    def extend(current, used_edges, visited, acc):
-        candidates = g.incident(current)
-        candidates = sorted(candidates, key=id_key)
+    def frame(v):
+        candidates = sorted(g.incident(v), key=id_key)
         if rng is not None:
             rng.shuffle(candidates)
-        for e in candidates:
-            if e in used_edges:
-                continue
-            w = g.other_end(e, current)
-            sign = 1 if g.o(e) == current else -1
-            if w == target:
-                if b in used_edges or e == b:
-                    return acc + [(e, sign, w)]
-                continue
-            if w in visited:
-                continue
-            res = extend(w, used_edges | {e}, visited | {w}, acc + [(e, sign, w)])
-            if res is not None:
-                return res
-        return None
+        return [v, candidates, 0]
 
-    res = extend(first_stop, {a}, {start, first_stop}, [(a, 1, first_stop)])
+    # Depth-first search over simple paths extending edge `a` forward, on an
+    # explicit stack of [vertex, its candidate edges, next position].  Every
+    # frame but the first was entered by one step of `path`, undone on exit.
+    path = [(a, 1, first_stop)]
+    used_edges = {a}
+    visited = {start, first_stop}
+    stack = [frame(first_stop)]
+    res = None
+    while stack and res is None:
+        top = stack[-1]
+        current, candidates, pos = top
+        if pos == len(candidates):
+            stack.pop()
+            if stack:
+                e, _, w = path.pop()
+                used_edges.discard(e)
+                visited.discard(w)
+            continue
+        top[2] = pos + 1
+        e = candidates[pos]
+        if e in used_edges:
+            continue
+        w = g.other_end(e, current)
+        sign = 1 if g.o(e) == current else -1
+        if w == target:
+            if b in used_edges or e == b:
+                res = path + [(e, sign, w)]
+            continue
+        if w in visited:
+            continue
+        path.append((e, sign, w))
+        used_edges.add(e)
+        visited.add(w)
+        stack.append(frame(w))
     if res is None:
         raise NoCommonCycle(f"no simple cycle through {a!r} and {b!r}")
     edges = tuple(e for e, _, _ in res)

@@ -384,6 +384,7 @@ def lift_to_graph_isomorphism(m):
     emap = m.edge_dict
     push = _pushforward(m)
     class_of_vertex = {r: DivisorClass(h, vertex_divisor(h, r)) for r in h.vertex_ids}
+    block_of = {r: block for block in series_classes(h) for r in block}
 
     def locate(p):
         """The target vertex r with phi_*[p] = [r]."""
@@ -410,7 +411,7 @@ def lift_to_graph_isomorphism(m):
             a, b = (vertex_map[ends[0]], vertex_map[ends[1]])
             candidates = [
                 r
-                for r in series_class_of(h, emap[e])
+                for r in block_of[emap[e]]
                 if r not in used and frozenset(h.ends(r)) == frozenset((a, b))
             ]
             if not candidates:
@@ -429,10 +430,8 @@ def lift_to_graph_isomorphism(m):
     # psi corrects phi edge-by-edge: psi(phi(e)) = assigned(e).
     psi = {emap[e]: assigned[e] for e in g.edge_ids}
     _verify_isomorphism(g, h, assigned, vertex_map)
-    classes_h = series_classes(h)
     for r, r2 in psi.items():
-        block = next(b for b in classes_h if r in b)
-        if r2 not in block:
+        if r2 not in block_of[r]:
             raise InternalError("correction permutation is not series fixing")
     return psi, vertex_map
 

@@ -84,6 +84,26 @@ def enumerate_small_graphs(max_vertices=5, max_edges=8, min_genus=2):
     return graphs
 
 
+@lru_cache(maxsize=None)
+def catalogue():
+    """The 109 graphs of enumerate_small_graphs(5, 8, 2), built once."""
+    return tuple(enumerate_small_graphs(max_vertices=5, max_edges=8, min_genus=2))
+
+
+def cycle_plus_chords(n, chords, seed):
+    """An n-cycle plus `chords` random chords (parallel edges allowed), with
+    random edge orientations and base edge."""
+    rng = random.Random(seed)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
+    triples = []
+    for k, (a, b) in enumerate(pairs):
+        if rng.random() < 0.5:
+            a, b = b, a
+        triples.append((f"c{k}", f"y{a}", f"y{b}"))
+    return build_graph(triples, rng.choice(triples)[0])
+
+
 def series_transposition_morphisms(g, limit=None):
     """Valid self-morphisms swapping two edges of one series class."""
     out = []

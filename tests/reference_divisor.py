@@ -1,0 +1,127 @@
+"""The divisor layer as first written, kept as a test oracle: q-reduction by
+whole-set firing on Divisor objects, Picard enumeration by a breadth-first
+search over all moves p - q, and the theta divisor by shift-and-reduce.
+Results are plain q-reduced Divisors (class representatives at t(base))."""
+
+from collections import deque
+
+from rigidlift.divisor import Divisor
+from rigidlift.errors import EnumerationBoundExceeded, ValidationError
+from rigidlift.multigraph import id_key
+
+
+def _fire_set(g, d, vertex_set, times=1):
+    delta = {v: 0 for v in g.vertices}
+    for e in g.edge_ids:
+        a, b = g.ends(e)
+        if (a in vertex_set) != (b in vertex_set):
+            src, dst = (a, b) if a in vertex_set else (b, a)
+            delta[src] -= times
+            delta[dst] += times
+    return d + Divisor(g, delta)
+
+
+def _bfs_distances(g, q):
+    dist = {q: 0}
+    queue = deque([q])
+    while queue:
+        v = queue.popleft()
+        for e in sorted(g.incident(v), key=id_key):
+            w = g.other_end(e, v)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def q_reduce(g, d, q):
+    """The unique q-reduced divisor linearly equivalent to d."""
+    if q not in g.vertices:
+        raise ValidationError(f"vertex {q!r} not in graph")
+    dist = _bfs_distances(g, q)
+    coeffs = {v: d[v] for v in g.vertices}
+    d = Divisor(g, coeffs)
+    max_dist = max(dist.values())
+
+    # Phase 1: clear debt working outward-in.
+    for k in range(max_dist, 0, -1):
+        ring = [v for v in g.vertex_ids if dist[v] == k]
+        ball = {v for v in g.vertices if dist[v] < k}
+        while any(d[v] < 0 for v in ring):
+            gain = {}
+            for v in ring:
+                if d[v] >= 0:
+                    continue
+                gain[v] = sum(1 for e in g.incident(v) if g.other_end(e, v) in ball)
+            times = max((-d[v] + gain[v] - 1) // gain[v] for v in gain)
+            d = _fire_set(g, d, ball, max(times, 1))
+
+    # Phase 2: Dhar's burning algorithm, one firing of the unburnt set per burn.
+    while True:
+        burnt = {q}
+        changed = True
+        while changed:
+            changed = False
+            for v in g.vertex_ids:
+                if v in burnt:
+                    continue
+                incoming = sum(1 for e in g.incident(v) if g.other_end(e, v) in burnt)
+                if incoming > d[v]:
+                    burnt.add(v)
+                    changed = True
+        if len(burnt) == len(g.vertices):
+            return d
+        d = _fire_set(g, d, set(g.vertices) - burnt)
+
+
+def dhar_burn_order(g, d, q):
+    """Burning order from q: at each step rescan for the first burnable vertex."""
+    order = [q]
+    burnt = {q}
+    while len(burnt) < len(g.vertices):
+        for v in g.vertex_ids:
+            if v in burnt:
+                continue
+            incoming = sum(1 for e in g.incident(v) if g.other_end(e, v) in burnt)
+            if incoming > d[v]:
+                order.append(v)
+                burnt.add(v)
+                break
+        else:
+            raise ValidationError("divisor is not q-reduced: burning stalls")
+    return order
+
+
+def enumerate_picard(g, degree, max_classes):
+    """Representatives of all classes of the given degree, by BFS over p - q."""
+    q0 = g.base_head
+    start = q_reduce(g, Divisor(g, {q0: degree}), q0)
+    seen = {start}
+    frontier = deque([start])
+    verts = g.vertex_ids
+    while frontier:
+        rep = frontier.popleft()
+        for p in verts:
+            for q in verts:
+                if p == q:
+                    continue
+                nxt = q_reduce(g, rep + Divisor(g, {p: 1, q: -1}), q0)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if len(seen) > max_classes:
+                        raise EnumerationBoundExceeded(f"more than {max_classes} classes")
+                    frontier.append(nxt)
+    return frozenset(seen)
+
+
+def theta_divisor(g, base_edge, max_classes):
+    """Representatives of the degree-0 classes c with c + (g-1) t(base_edge)
+    effective."""
+    t0 = g.with_base(base_edge).base_head
+    q0 = g.base_head
+    shift = Divisor(g, {t0: g.genus - 1})
+    return frozenset(
+        rep
+        for rep in enumerate_picard(g, 0, max_classes)
+        if q_reduce(g, rep + shift, q0)[q0] >= 0
+    )

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -424,3 +425,19 @@ class TestCliSelftest:
         assert code == 0
         assert out["ok"] is True
         assert all(out["checks"].values())
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+        block = next(b for b in blocks if "FIX=" in b)
+        fix = str(fixture_path("")).rstrip("/")
+        lines = [ln for ln in block.splitlines() if ln.startswith("rigidlift ")]
+        assert len(lines) >= 10
+        for line in lines:
+            argv = shlex.split(line.replace("$FIX", fix), comments=True)
+            code = main(argv[1:])
+            out = capsys.readouterr().out
+            assert code in (0, 1), line
+            assert isinstance(json.loads(out), dict), line

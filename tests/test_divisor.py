@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_spanning_trees, enumerate_small_graphs
+from helpers import brute_force_spanning_trees, catalogue, enumerate_small_graphs
 
 from rigidlift.divisor import (
     Classification,
@@ -181,6 +181,43 @@ class TestTheta:
         for pts in [["v1", "v2"], ["v3", "v3"], ["v2", "v4"]]:
             assert len(pts) == g - 1
             assert abel_jacobi(J, pts) in theta
+
+
+def acyclic_orientations_with_unique_source(g, q):
+    """Count, over all 2^|E| orientations, those that are acyclic and whose
+    only source is q."""
+    count = 0
+    edges = [g.ends(e) for e in g.edge_ids]
+    for mask in range(1 << len(edges)):
+        arcs = [(a, b) if mask >> i & 1 else (b, a) for i, (a, b) in enumerate(edges)]
+        indeg = {v: 0 for v in g.vertex_ids}
+        out = {v: [] for v in g.vertex_ids}
+        for a, b in arcs:
+            indeg[b] += 1
+            out[a].append(b)
+        if [v for v, k in indeg.items() if k == 0] != [q]:
+            continue
+        ready, seen = [q], 0
+        while ready:
+            v = ready.pop()
+            seen += 1
+            for w in out[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+        count += seen == len(indeg)
+    return count
+
+
+class TestThetaOracle:
+    def test_complement_counts_acyclic_orientations(self):
+        # The non-special classes of degree g-1 are the classes of nu_O - q
+        # for the acyclic orientations O with unique source q (Baker-Norine
+        # 2007), and c is outside Theta exactly when c + (g-1)q is one.
+        for g in catalogue():
+            n_pic = len(enumerate_picard(g, 0))
+            n_theta = len(theta_divisor(g))
+            assert n_pic - n_theta == acyclic_orientations_with_unique_source(g, g.base_head)
 
 
 class TestClassification:

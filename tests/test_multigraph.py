@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs_isomorphic
-from helpers import brute_force_spanning_trees, enumerate_small_graphs
+from helpers import brute_force_spanning_trees, catalogue, enumerate_small_graphs
 
 from rigidlift.errors import (
     BaseEdgeInArch,
@@ -9,6 +13,7 @@ from rigidlift.errors import (
     DuplicateEdgeId,
     LoopEdge,
     MissingBaseEdge,
+    NoCommonCycle,
     NotTwoEdgeConnected,
 )
 from rigidlift.homology import lattice_for, path_cochain
@@ -18,6 +23,7 @@ from rigidlift.multigraph import (
     cycle_through_edges,
     find_arches,
     fundamental_cycles,
+    id_key,
     series_class_of,
     series_classes,
     spanning_tree_count,
@@ -203,6 +209,29 @@ class TestCycles:
         assert path.edges[0] == "r1"
         assert path.signs[0] == 1
 
+    def test_long_cycle_needs_no_recursion(self):
+        n = 1200
+        g = build_graph([(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)], "e0")
+        path = cycle_through_edges(g, "e0", "e600")
+        assert path.is_cycle
+        assert set(path.edges) == set(g.edge_ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_recursive_search(self, data):
+        g = data.draw(st.sampled_from(catalogue()))
+        a = data.draw(st.sampled_from(g.edge_ids))
+        b = data.draw(st.sampled_from(g.edge_ids))
+        seed = data.draw(st.one_of(st.none(), st.integers(0, 2**16)))
+        try:
+            expected = _recursive_cycle_steps(g, a, b, seed)
+        except NoCommonCycle:
+            with pytest.raises(NoCommonCycle):
+                cycle_through_edges(g, a, b, seed)
+            return
+        path = cycle_through_edges(g, a, b, seed)
+        assert list(zip(path.edges, path.signs, path.vertices[1:])) == expected
+
     def test_fundamental_cycles(self, G):
         cycles = fundamental_cycles(G)
         assert len(cycles) == G.genus
@@ -217,6 +246,40 @@ class TestCycles:
             for i in range(len(supports))
         ]
         assert all(s - u for s, u in zip(supports, union_others))
+
+
+def _recursive_cycle_steps(g, a, b, seed):
+    """The recursive depth-first search that cycle_through_edges replaced:
+    (edge, sign, vertex reached) per step, with the same shuffles."""
+    if a == b:
+        raise NoCommonCycle("need two distinct edges")
+    rng = random.Random(seed) if seed is not None else None
+    start = g.o(a)
+
+    def extend(current, used_edges, visited, acc):
+        candidates = sorted(g.incident(current), key=id_key)
+        if rng is not None:
+            rng.shuffle(candidates)
+        for e in candidates:
+            if e in used_edges:
+                continue
+            w = g.other_end(e, current)
+            sign = 1 if g.o(e) == current else -1
+            if w == start:
+                if b in used_edges or e == b:
+                    return acc + [(e, sign, w)]
+                continue
+            if w in visited:
+                continue
+            res = extend(w, used_edges | {e}, visited | {w}, acc + [(e, sign, w)])
+            if res is not None:
+                return res
+        return None
+
+    res = extend(g.t(a), {a}, {start, g.t(a)}, [(a, 1, g.t(a))])
+    if res is None:
+        raise NoCommonCycle("no simple cycle")
+    return res
 
 
 class TestArches:
