@@ -369,7 +369,7 @@ def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
     return frozenset(found)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _theta_cached(g, base_edge, max_classes):
     gen = g.genus
     t0 = g.with_base(base_edge).base_head

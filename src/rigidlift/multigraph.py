@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     BaseEdgeInArch,
@@ -200,93 +202,118 @@ def build_graph(edge_list, base_edge):
     return g
 
 
-def _is_connected(g, removed_edges=frozenset(), removed_vertices=frozenset()):
-    remaining = [v for v in g.vertex_ids if v not in removed_vertices]
-    if not remaining:
-        return True
-    seen = {remaining[0]}
-    stack = [remaining[0]]
+def _is_connected(g, removed_edges=frozenset()):
+    start = g.vertex_ids[0]
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for e in g.incident(v):
             if e in removed_edges:
                 continue
             w = g.other_end(e, v)
-            if w in removed_vertices or w in seen:
-                continue
-            seen.add(w)
-            stack.append(w)
-    return len(seen) == len(remaining)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
 
 
 # -- invariants --------------------------------------------------------------
+
+
+def biconnectivity(g):
+    """(no cut vertex, no bridge), both False when g is disconnected, from
+    one iterative Hopcroft-Tarjan depth-first search.  The search skips only
+    the edge id a vertex was entered by, so a parallel edge back to the
+    parent counts as a back edge."""
+    root = g.vertex_ids[0]
+    disc = {root: 0}
+    low = {root: 0}
+    stack = [(root, None, iter(g.incident(root)))]
+    root_children = 0
+    cut_vertex = bridge = False
+    while stack:
+        v, via, edges = stack[-1]
+        for e in edges:
+            if e == via:
+                continue
+            w = g.other_end(e, v)
+            if w in disc:
+                low[v] = min(low[v], disc[w])
+            else:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, e, iter(g.incident(w))))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                continue
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] > disc[u]:
+                bridge = True
+            if u == root:
+                root_children += 1
+            elif low[v] >= disc[u]:
+                cut_vertex = True
+    connected = len(disc) == len(g.vertices)
+    return (connected and not cut_vertex and root_children < 2, connected and not bridge)
 
 
 def connectivity_profile(g):
     """Return (is 2-connected, exact edge connectivity)."""
     if len(g.vertices) < 2:
         return (False, 0)
-    two_connected = _is_connected(g) and all(
-        _is_connected(g, removed_vertices={v}) for v in g.vertex_ids
-    )
+    two_connected, _ = biconnectivity(g)
     s = g.vertex_ids[0]
     k = min(_max_flow(g, s, t) for t in g.vertex_ids if t != s)
     return (two_connected, k)
 
 
 def _max_flow(g, s, t):
-    cap = {}
+    """Number of edge-disjoint s-t paths, by breadth-first augmenting paths
+    on residual capacities kept per adjacency list."""
+    cap = {v: {} for v in g.vertex_ids}
     for e in g.edge_ids:
         u, v = g.ends(e)
-        cap[(u, v)] = cap.get((u, v), 0) + 1
-        cap[(v, u)] = cap.get((v, u), 0) + 1
+        cap[u][v] = cap[u].get(v, 0) + 1
+        cap[v][u] = cap[v].get(u, 0) + 1
     flow = 0
     while True:
         parent = {s: None}
         queue = deque([s])
         while queue and t not in parent:
             u = queue.popleft()
-            for (a, b), c in cap.items():
-                if a == u and c > 0 and b not in parent:
-                    parent[b] = (a, b)
-                    queue.append(b)
+            for w, c in cap[u].items():
+                if c > 0 and w not in parent:
+                    parent[w] = u
+                    queue.append(w)
         if t not in parent:
             return flow
         arcs = []
-        node = t
-        while parent[node] is not None:
-            arcs.append(parent[node])
-            node = parent[node][0]
-        push = min(cap[a] for a in arcs)
-        for a, b in arcs:
-            cap[(a, b)] -= push
-            cap[(b, a)] = cap.get((b, a), 0) + push
+        w = t
+        while parent[w] is not None:
+            arcs.append((parent[w], w))
+            w = parent[w]
+        push = min(cap[u][w] for u, w in arcs)
+        for u, w in arcs:
+            cap[u][w] -= push
+            cap[w][u] += push
         flow += push
 
 
 def series_classes(g):
-    """Partition edges into series classes (pairs whose removal disconnects)."""
-    _, k = connectivity_profile(g)
-    if k < 2:
-        raise NotTwoEdgeConnected("series classes require a 2-edge-connected graph")
-    parent = {e: e for e in g.edge_ids}
+    """Partition edges into series classes (pairs whose removal disconnects).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in combinations(g.edge_ids, 2):
-        if not _is_connected(g, removed_edges={a, b}):
-            parent[find(a)] = find(b)
+    In a bridgeless graph two edges form a cut exactly when they lie on the
+    same fundamental cycles, so the classes are the edges of equal
+    signature; an edge on no fundamental cycle is a bridge."""
     blocks = {}
-    for e in g.edge_ids:
-        blocks.setdefault(find(e), []).append(e)
-    return sorted(
-        (tuple(sorted(b, key=id_key)) for b in blocks.values()),
-        key=lambda b: id_key(b[0]),
-    )
+    for e, signature in zip(g.edge_ids, cycle_basis(g, None).signatures):
+        if not signature:
+            raise NotTwoEdgeConnected("series classes require a 2-edge-connected graph")
+        blocks.setdefault(signature, []).append(e)
+    return sorted((tuple(b) for b in blocks.values()), key=lambda b: id_key(b[0]))
 
 
 def series_class_of(g, e):
@@ -355,8 +382,9 @@ def cycle_through_edges(g, a, b, seed=None):
     return EdgePath(edges, signs, verts)
 
 
-def spanning_tree_edges(g):
-    """Deterministic spanning tree: greedily add lowest edge ids."""
+def _greedy_tree(g, order):
+    """Spanning tree built by adding the edges of `order` that join two
+    components."""
     parent = {v: v for v in g.vertex_ids}
 
     def find(x):
@@ -366,7 +394,7 @@ def spanning_tree_edges(g):
         return x
 
     tree = []
-    for e in g.edge_ids:
+    for e in order:
         u, v = g.ends(e)
         ru, rv = find(u), find(v)
         if ru != rv:
@@ -375,47 +403,81 @@ def spanning_tree_edges(g):
     return tree
 
 
-def tree_path(g, tree, src, dst):
-    """EdgePath from src to dst inside the given tree edge set."""
-    prev = {src: None}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            break
-        for e in sorted(g.incident(v), key=id_key):
-            if e not in tree:
-                continue
+def spanning_tree_edges(g):
+    """Deterministic spanning tree: greedily add lowest edge ids."""
+    return _greedy_tree(g, g.edge_ids)
+
+
+class CycleBasis(NamedTuple):
+    """Fundamental cycles of one spanning tree, one per non-tree edge in
+    edge-id order, and each edge's GF(2) signature (aligned with
+    `edge_ids`): the bitmask of the fundamental cycles that contain it."""
+
+    cycles: tuple
+    signatures: tuple
+
+
+@lru_cache(maxsize=256)
+def cycle_basis(g, seed):
+    """The fundamental cycles and edge signatures of g.  The spanning tree is
+    built greedily in edge-id order when `seed` is None, else in a shuffle
+    of that order drawn from `seed`; pass `seed` positionally, so that one
+    graph has one cache entry.  Each cycle crosses its non-tree edge e
+    tail-to-head and returns from t(e) to o(e) through the tree."""
+    order = list(g.edge_ids)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    tree = set(_greedy_tree(g, order))
+    root = g.vertex_ids[0]
+    up = {root: None}  # vertex -> (tree edge to its parent, parent)
+    depth = {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for e in g.incident(v):
             w = g.other_end(e, v)
-            if w not in prev:
-                prev[w] = (e, v)
-                queue.append(w)
-    steps = []
-    node = dst
-    while prev[node] is not None:
-        e, v = prev[node]
-        steps.append((e, 1 if g.t(e) == node else -1, node))
-        node = v
-    steps.reverse()
-    edges = tuple(e for e, _, _ in steps)
-    signs = tuple(s for _, s, _ in steps)
-    verts = (src,) + tuple(w for _, _, w in steps)
-    return EdgePath(edges, signs, verts)
+            if e in tree and w not in up:
+                up[w] = (e, v)
+                depth[w] = depth[v] + 1
+                stack.append(w)
+
+    def tree_steps(src, dst):
+        """(edge, sign, vertex reached) along the tree path src -> dst."""
+        rising, falling = [], []
+        a, b = src, dst
+        while a != b:
+            if depth[a] >= depth[b]:
+                e, p = up[a]
+                rising.append((e, 1 if g.t(e) == p else -1, p))
+                a = p
+            else:
+                e, p = up[b]
+                falling.append((e, 1 if g.t(e) == b else -1, b))
+                b = p
+        return rising + falling[::-1]
+
+    cycles = []
+    bits = dict.fromkeys(g.edge_ids, 0)
+    for e in g.edge_ids:
+        if e in tree:
+            continue
+        o, t = g.ends(e)
+        steps = [(e, 1, t)] + tree_steps(t, o)
+        for f, _, _ in steps:
+            bits[f] |= 1 << len(cycles)
+        cycles.append(
+            EdgePath(
+                tuple(f for f, _, _ in steps),
+                tuple(sign for _, sign, _ in steps),
+                (o,) + tuple(w for _, _, w in steps),
+            )
+        )
+    return CycleBasis(tuple(cycles), tuple(bits.values()))
 
 
 def fundamental_cycles(g):
     """genus(g) independent simple cycles from the deterministic spanning tree."""
-    tree = set(spanning_tree_edges(g))
-    cycles = []
-    for e in g.edge_ids:
-        if e in tree:
-            continue
-        back = tree_path(g, tree, g.t(e), g.o(e))
-        edges = (e,) + back.edges
-        signs = (1,) + back.signs
-        verts = (g.o(e),) + back.vertices
-        cycles.append(EdgePath(edges, signs, verts))
-    return cycles
+    return list(cycle_basis(g, None).cycles)
 
 
 def shortest_path(g, src, dst):
@@ -454,7 +516,7 @@ def _side_vertices(g, edge_set):
 
 def find_arches(g):
     """All arches, found by testing every 2-vertex separator."""
-    two_conn, _ = connectivity_profile(g)
+    two_conn, _ = biconnectivity(g)
     if not two_conn:
         raise NotTwoConnected("arches require a 2-connected graph")
     arches = []

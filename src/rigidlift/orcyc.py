@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     BaseNotPreserved,
@@ -16,6 +15,7 @@ from .errors import (
     InvalidCyclicBijection,
     MorphismIsRigid,
     MorphismNotRigid,
+    NoCommonCycle,
     NotBijection,
     NotTwoConnected,
     NotTwoEdgeConnected,
@@ -29,9 +29,8 @@ from .divisor import (
     vertex_divisor,
 )
 from .multigraph import (
-    connectivity_profile,
-    cycle_through_edges,
-    fundamental_cycles,
+    biconnectivity,
+    cycle_basis,
     id_key,
     series_class_of,
     series_classes,
@@ -47,42 +46,17 @@ from .orientation import (
 
 
 def require_orcyc_object(g):
-    two_conn, edge_conn = connectivity_profile(g)
+    two_conn, bridgeless = biconnectivity(g)
     if not two_conn:
         raise NotTwoConnected(f"{g!r} is not 2-connected")
-    if edge_conn < 2:
+    if not bridgeless:
         raise NotTwoEdgeConnected(f"{g!r} is not 2-edge-connected")
 
 
-@lru_cache(maxsize=None)
-def _gf2_cycle_basis(g):
-    """Fundamental cycles as GF(2) edge-index bitmasks."""
-    index = {e: i for i, e in enumerate(g.edge_ids)}
-    basis = []
-    for cyc in fundamental_cycles(g):
-        mask = 0
-        for e in cyc.edges:
-            mask ^= 1 << index[e]
-        basis.append(mask)
-    # Row-reduce for membership tests.
-    reduced = []
-    for m in basis:
-        for r in reduced:
-            m = min(m, m ^ r)
-        if m:
-            reduced.append(m)
-            reduced.sort(reverse=True)
-    return tuple(reduced)
-
-
-def _in_gf2_span(reduced, m):
-    for r in reduced:
-        m = min(m, m ^ r)
-    return m == 0
-
-
 def validate_cyclic_bijection(g, h, edge_map, require_base=True):
-    """True iff edge_map carries the cycle space of g onto that of h."""
+    """True iff edge_map carries the cycle space of g onto that of h: the
+    genera agree and the image of each fundamental cycle of g meets every
+    vertex of h in an even number of edge ends."""
     if set(edge_map) != set(g.edge_ids) or set(edge_map.values()) != set(h.edge_ids):
         raise NotBijection("edge_map is not a bijection between the edge sets")
     if len(set(edge_map.values())) != len(edge_map):
@@ -94,13 +68,11 @@ def validate_cyclic_bijection(g, h, edge_map, require_base=True):
         )
     if g.genus != h.genus:
         return False
-    index_h = {e: i for i, e in enumerate(h.edge_ids)}
-    target_basis = _gf2_cycle_basis(h)
-    for cyc in fundamental_cycles(g):
-        mask = 0
+    for cyc in cycle_basis(g, None).cycles:
+        odd = set()
         for e in cyc.edges:
-            mask ^= 1 << index_h[edge_map[e]]
-        if not _in_gf2_span(target_basis, mask):
+            odd.symmetric_difference_update(h.ends(edge_map[e]))
+        if odd:
             return False
     return True
 
@@ -166,24 +138,38 @@ def _traverse_edge_subset_cycle(h, edge_set):
 def compute_signs(g, h, edge_map, seed=None):
     """The unique sign function with sgn(base) = +1.
 
-    For each edge u, a simple cycle through the base edge and u is chosen,
-    its image traversed compatibly with the target base edge, and the sign
-    read off as the ratio of traversal signs."""
+    A fundamental cycle C of g and its image, each traversed in some
+    direction, give sgn(e) = eps_C * src(e) * img(phi e) on C for one
+    unknown eps_C = +-1.  The signs spread from the base across cycles that
+    share an edge; in a 2-connected graph that reaches every edge.  `seed`
+    shuffles the edge order that builds the spanning tree; the answer does
+    not depend on it."""
+    if g.genus != h.genus:
+        raise InvalidCyclicBijection("source and target genera differ")
+    ratios = []
+    cycles_of = {}
+    for cyc in cycle_basis(g, seed).cycles:
+        img_signs = _traverse_edge_subset_cycle(h, {edge_map[e] for e in cyc.edges})
+        for e in cyc.edges:
+            cycles_of.setdefault(e, []).append(len(ratios))
+        ratios.append({e: s * img_signs[edge_map[e]] for e, s in zip(cyc.edges, cyc.signs)})
     base = g.base_edge
     signs = {base: 1}
+    queue = deque((i, base) for i in cycles_of.get(base, ()))
+    reached = {i for i, _ in queue}
+    while queue:
+        i, known = queue.popleft()
+        eps = signs[known] * ratios[i][known]
+        for e, ratio in ratios[i].items():
+            if signs.setdefault(e, eps * ratio) != eps * ratio:
+                raise InvalidCyclicBijection(f"cycles disagree on the sign of {e!r}")
+            for j in cycles_of[e]:
+                if j not in reached:
+                    reached.add(j)
+                    queue.append((j, e))
     for u in g.edge_ids:
-        if u == base:
-            continue
-        cyc = cycle_through_edges(g, base, u, seed=seed)
-        src_signs = dict(zip(cyc.edges, cyc.signs))
-        image_edges = {edge_map[e] for e in cyc.edges}
-        img_signs = _traverse_edge_subset_cycle(h, image_edges)
-        # Flip the traversal so the image of the base edge matches h's base
-        # orientation positively.
-        flip = img_signs[edge_map[base]]
-        q = img_signs[edge_map[u]] * flip
-        s = src_signs[u] * src_signs[base]
-        signs[u] = q * s
+        if u not in signs:
+            raise NoCommonCycle(f"no simple cycle through {base!r} and {u!r}")
     return signs
 
 
@@ -383,13 +369,14 @@ def lift_to_graph_isomorphism(m):
     g, h = m.source, m.target
     emap = m.edge_dict
     push = _pushforward(m)
-    class_of_vertex = {r: DivisorClass(h, vertex_divisor(h, r)) for r in h.vertex_ids}
+    vertices_of_class = {}
+    for r in h.vertex_ids:
+        vertices_of_class.setdefault(DivisorClass(h, vertex_divisor(h, r)), []).append(r)
     block_of = {r: block for block in series_classes(h) for r in block}
 
     def locate(p):
         """The target vertex r with phi_*[p] = [r]."""
-        cls = DivisorClass(h, push(vertex_divisor(g, p)))
-        matches = [r for r, c in class_of_vertex.items() if c == cls]
+        matches = vertices_of_class.get(DivisorClass(h, push(vertex_divisor(g, p))), [])
         if len(matches) != 1:
             raise InternalError(f"vertex image for {p!r} is not unique: {matches}")
         return matches[0]

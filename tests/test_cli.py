@@ -114,6 +114,20 @@ class TestCliInfo:
         blocks = {frozenset(b) for b in out["series_classes"]}
         assert frozenset({"e3", "e6", "e7"}) in blocks
 
+    def test_bowtie_has_a_cut_vertex_and_no_bridge(self, capsys, tmp_path):
+        # Two triangles sharing vertex a: the depth-first search finds the
+        # cut vertex, while the max-flow still finds edge connectivity 2.
+        path = tmp_path / "bowtie.graph"
+        path.write_text(
+            "edge e1 a b\nedge e2 b c\nedge e3 c a\n"
+            "edge e4 a d\nedge e5 d e\nedge e6 e a\nbase e1\n"
+        )
+        code, out = run(capsys, ["--no-timings", "info", str(path)])
+        assert code == 0
+        assert out["is_2_connected"] is False
+        assert out["edge_connectivity"] == 2
+        assert out["series_classes"] == [["e1", "e2", "e3"], ["e4", "e5", "e6"]]
+
     def test_missing_file_is_input_error(self, capsys):
         code, out = run(capsys, ["--no-timings", "info", "/nonexistent.graph"])
         assert code == 2

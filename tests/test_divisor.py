@@ -21,8 +21,9 @@ from rigidlift.divisor import (
     theta_divisor,
     vertex_divisor,
 )
+from rigidlift.divisor import _theta_cached
 from rigidlift.errors import EnumerationBoundExceeded, WrongDegree
-from rigidlift.multigraph import spanning_tree_count
+from rigidlift.multigraph import build_graph, spanning_tree_count
 
 
 def small_coeffs(g):
@@ -174,6 +175,17 @@ class TestTheta:
         for c in enumerate_picard(K, 0):
             expected = is_effective_class(K, c.representative + shift)
             assert (c in theta) == expected
+
+    def test_cache_is_bounded_and_an_immediate_repeat_hits(self):
+        maxsize = _theta_cached.cache_info().maxsize
+        for i in range(maxsize + 10):
+            g = build_graph([("a", f"p{i}", "q"), ("b", "q", f"p{i}"), ("c", "q", f"p{i}")], "a")
+            theta_divisor(g)
+            hits = _theta_cached.cache_info().hits
+            theta_divisor(g)
+            info = _theta_cached.cache_info()
+            assert info.hits == hits + 1
+            assert info.currsize <= maxsize
 
     def test_image_of_abel_jacobi_lands_in_theta(self, J):
         theta = theta_divisor(J)

@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import catalogue
 
 from rigidlift.divisor import Divisor, DivisorClass, theta_divisor
 from rigidlift.errors import (
@@ -68,6 +72,40 @@ class TestValidation:
         assert not validate_cyclic_bijection(G, G, emap)
         with pytest.raises(InvalidCyclicBijection):
             make_morphism(G, G, emap)
+        with pytest.raises(InvalidCyclicBijection):
+            compute_signs(G, G, emap)
+
+    def test_compute_signs_rejects_a_bijection_onto_higher_genus(self):
+        # K4 minus an edge, whose spanning tree e1, e2, e3 gives the two
+        # triangles {e4, e1, e2} and {e5, e1, e3} as fundamental cycles.
+        # Both map onto triangles of a triangle with two doubled sides, but
+        # that graph has genus 3 and its digon {xy1, xy2} pulls back to no
+        # cycle.
+        g = build_graph(
+            [("e1", "c", "a"), ("e2", "a", "b"), ("e3", "c", "d"), ("e4", "b", "c"), ("e5", "d", "a")],
+            "e2",
+        )
+        h = build_graph(
+            [("xy1", "x", "y"), ("yz1", "y", "z"), ("zx", "z", "x"), ("xy2", "x", "y"), ("yz2", "y", "z")],
+            "xy1",
+        )
+        emap = {"e1": "zx", "e2": "xy1", "e3": "xy2", "e4": "yz1", "e5": "yz2"}
+        assert not validate_cyclic_bijection(g, h, emap)
+        with pytest.raises(InvalidCyclicBijection):
+            compute_signs(g, h, emap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_compute_signs_raises_exactly_on_non_cyclic_bijections(self, data):
+        g = data.draw(st.sampled_from(catalogue()))
+        h = data.draw(st.sampled_from([k for k in catalogue() if len(k.edge_ids) == len(g.edge_ids)]))
+        emap = dict(zip(g.edge_ids, data.draw(st.permutations(h.edge_ids))))
+        if validate_cyclic_bijection(g, h, emap, require_base=False):
+            signs = compute_signs(g, h, emap)
+            assert signs[g.base_edge] == 1 and set(signs) == set(g.edge_ids)
+        else:
+            with pytest.raises(InvalidCyclicBijection):
+                compute_signs(g, h, emap)
 
     def test_adjacent_transposition_on_plain_cycle_is_valid(self, four_cycle):
         # Any edge permutation of a single cycle maps cycles to cycles, even

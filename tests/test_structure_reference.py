@@ -1,0 +1,167 @@
+"""Differential tests: the cycle-signature series classes, the depth-first
+2-connectivity and the fundamental-cycle signs against the graph-structure
+layer as first written (tests/reference_structure.py)."""
+
+import random
+import sys
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_structure as ref
+from helpers import (
+    catalogue,
+    cycle_plus_chords,
+    random_multigraph,
+    sample_morphisms,
+    whitney_morphisms,
+)
+
+from rigidlift.errors import NoCommonCycle, NotTwoEdgeConnected
+from rigidlift.multigraph import (
+    biconnectivity,
+    build_graph,
+    connectivity_profile,
+    cycle_basis,
+    fundamental_cycles,
+    series_classes,
+)
+from rigidlift.orcyc import compute_signs, is_rigid, lift_to_graph_isomorphism, make_morphism
+
+
+def _triples(g, tag):
+    return [(f"{tag}{e}", f"{tag}{g.o(e)}", f"{tag}{g.t(e)}") for e in g.edge_ids]
+
+
+def glued(g1, g2, bridge):
+    """g1 and g2 sharing one vertex (a cut vertex with no bridge), or joined
+    by a new bridge edge."""
+    left, right = _triples(g1, "L"), _triples(g2, "R")
+    a, b = f"L{g1.vertex_ids[0]}", f"R{g2.vertex_ids[0]}"
+    if bridge:
+        right.append(("bridge", a, b))
+    else:
+        right = [(e, a if x == b else x, a if y == b else y) for e, x, y in right]
+    return build_graph(left + right, left[0][0])
+
+
+def parallel_class(k):
+    return build_graph([(f"p{i}", "a", "b") for i in range(k)], "p0")
+
+
+@st.composite
+def graphs(draw):
+    """Catalogue graphs, random multigraphs (bridges and cut vertices
+    included), two graphs glued at a vertex or by a bridge, and 2-vertex
+    graphs of 1-4 parallel edges."""
+    kind = draw(st.sampled_from(("catalogue", "random", "glued", "bridged", "parallel")))
+    if kind == "catalogue":
+        return draw(st.sampled_from(catalogue()))
+    if kind == "random":
+        return random_multigraph(random.Random(draw(st.integers(0, 2**16))))
+    if kind == "parallel":
+        return parallel_class(draw(st.integers(1, 4)))
+    parts = st.one_of(
+        st.sampled_from(catalogue()),
+        st.integers(2, 5).map(lambda k: parallel_class(k) if k < 3 else cycle_plus_chords(k, 0, k)),
+    )
+    return glued(draw(parts), draw(parts), bridge=kind == "bridged")
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=graphs())
+def test_connectivity_matches_reference(g):
+    two_connected, k = ref.connectivity_profile(g)
+    assert connectivity_profile(g) == (two_connected, k)
+    assert biconnectivity(g) == (two_connected, k >= 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=graphs())
+def test_series_classes_match_reference(g):
+    try:
+        expected = ref.series_classes(g)
+    except NotTwoEdgeConnected:
+        with pytest.raises(NotTwoEdgeConnected):
+            series_classes(g)
+        return
+    assert series_classes(g) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_fundamental_cycles_match_reference(g):
+    assert fundamental_cycles(g) == ref.fundamental_cycles(g)
+
+
+def test_bowtie_is_two_edge_connected_with_a_cut_vertex():
+    triangle = cycle_plus_chords(3, 0, 0)
+    g = glued(triangle, triangle, bridge=False)
+    assert biconnectivity(g) == (False, True)
+    assert connectivity_profile(g) == ref.connectivity_profile(g) == (False, 2)
+    assert [len(b) for b in series_classes(g)] == [3, 3]
+
+
+@lru_cache(maxsize=None)
+def _morphisms():
+    """Sampled morphisms of the catalogue (identities, series swaps, Whitney
+    moves and their compositions) and Whitney moves of cycle-plus-chords."""
+    out = sample_morphisms(catalogue(), 400)
+    for seed in range(30):
+        out.extend(whitney_morphisms(cycle_plus_chords(6 + seed % 4, 3, seed), limit=3))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_signs_match_reference(data):
+    m = data.draw(st.sampled_from(_morphisms()))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    g, h, emap = m.source, m.target, m.edge_dict
+    expected = ref.compute_signs(g, h, emap)
+    assert ref.compute_signs(g, h, emap, seed=seed) == expected
+    assert compute_signs(g, h, emap, seed=seed) == expected
+
+
+def test_signs_outside_the_base_block_raise_like_the_reference():
+    triangle = cycle_plus_chords(3, 0, 0)
+    g = glued(triangle, triangle, bridge=False)
+    emap = {e: e for e in g.edge_ids}
+    with pytest.raises(NoCommonCycle):
+        ref.compute_signs(g, g, emap)
+    with pytest.raises(NoCommonCycle):
+        compute_signs(g, g, emap)
+
+
+def relabelled(g, rng):
+    """An isomorphic copy with fresh vertex and edge names, and the edge map."""
+    verts = list(g.vertex_ids)
+    rng.shuffle(verts)
+    vname = {v: f"z{i}" for i, v in enumerate(verts)}
+    edges = list(g.edge_ids)
+    rng.shuffle(edges)
+    ename = {e: f"f{i}" for i, e in enumerate(edges)}
+    h = build_graph([(ename[e], vname[g.o(e)], vname[g.t(e)]) for e in g.edge_ids], ename[g.base_edge])
+    return h, ename
+
+
+def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
+    g = cycle_plus_chords(16, 8, 3)
+    h, emap = relabelled(g, random.Random(3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called off the morphism path")
+
+    structure = sys.modules["rigidlift.multigraph"]
+    monkeypatch.setattr(structure, "cycle_through_edges", forbidden)
+    monkeypatch.setattr(structure, "_max_flow", forbidden)
+    cycle_basis.cache_clear()
+    m = make_morphism(g, h, emap)
+    assert is_rigid(m)
+    psi, vertex_map = lift_to_graph_isomorphism(m)
+    assert len(psi) == len(h.edge_ids) and len(vertex_map) == len(g.vertices)
+    # One fundamental-cycle pass per graph: g for the validation and the
+    # signs, h for the series classes.
+    assert cycle_basis.cache_info().misses == 2
