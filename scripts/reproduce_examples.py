@@ -11,7 +11,7 @@ import argparse
 
 from rigidlift.divisor import Divisor, enumerate_picard, q_reduce, theta_divisor
 from rigidlift.graphio import fixture_path, format_divisor, load_morphism
-from rigidlift.multigraph import series_classes, spanning_tree_count
+from rigidlift.multigraph import id_key, series_classes, spanning_tree_count
 from rigidlift.orcyc import (
     MatroidLift,
     is_rigid,
@@ -24,6 +24,12 @@ from rigidlift.orcyc import (
     theta_preserved,
 )
 from rigidlift.orientation import base_orientation, chern_class
+
+
+def _sorted(d):
+    """d with its keys in id order, so the printed maps do not depend on the
+    order they were built in."""
+    return dict(sorted(d.items(), key=lambda kv: id_key(kv[0])))
 
 
 def report_pair(title, morphism_file):
@@ -48,7 +54,7 @@ def report_pair(title, morphism_file):
     if is_rigid(m):
         psi, vmap = lift_to_graph_isomorphism(m)
         moved = {k: v for k, v in psi.items() if k != v}
-        print(f"  lift: series correction {moved}, vertex map {vmap}")
+        print(f"  lift: series correction {_sorted(moved)}, vertex map {_sorted(vmap)}")
     else:
         s, image = nonrigidity_witness(m)
         ok = (

@@ -31,6 +31,7 @@ from .graphio import (
     load_graph,
     load_morphism,
     parse_divisor,
+    parse_edge_map,
     parse_orientation,
 )
 from .multigraph import connectivity_profile, id_key, series_classes, spanning_tree_count
@@ -125,9 +126,9 @@ def cmd_lift_matroid(args, max_classes):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {args.map_file}: {exc}") from exc
-    edge_map = data.get("edge_map", data) if isinstance(data, dict) else None
-    if not isinstance(edge_map, dict):
-        raise ParseError("map file must contain an edge_map object")
+    if isinstance(data, dict):
+        data = data.get("edge_map", data)
+    edge_map = parse_edge_map(g, h, data)
     result = lift_matroid_isomorphism(g, h, edge_map)
     if isinstance(result, MatroidLift):
         report = {
@@ -321,16 +322,26 @@ def build_parser():
     return parser
 
 
+def _max_classes(args):
+    """--max-classes, else RIGIDLIFT_MAX_CLASSES, else the default."""
+    value = args.max_classes
+    if value is None:
+        env = os.environ.get("RIGIDLIFT_MAX_CLASSES")
+        try:
+            value = int(env) if env else DEFAULT_MAX_CLASSES
+        except ValueError as exc:
+            raise ParseError(f"RIGIDLIFT_MAX_CLASSES is not an integer: {env!r}") from exc
+    if value < 0:
+        raise ValidationError(f"the class bound must be non-negative, not {value}")
+    return value
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    max_classes = args.max_classes
-    if max_classes is None:
-        env = os.environ.get("RIGIDLIFT_MAX_CLASSES")
-        max_classes = int(env) if env else DEFAULT_MAX_CLASSES
     start = time.perf_counter()
     try:
-        report, code = args.func(args, max_classes)
+        report, code = args.func(args, _max_classes(args))
     except (ParseError, ValidationError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args, start)
         return EXIT_INPUT

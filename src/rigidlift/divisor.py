@@ -85,10 +85,6 @@ class Divisor:
         return f"Divisor({terms})"
 
 
-def divisor(g, coeffs=None):
-    return Divisor(g, coeffs)
-
-
 def vertex_divisor(g, v, mult=1):
     return Divisor(g, {v: mult})
 

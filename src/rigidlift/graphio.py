@@ -100,16 +100,34 @@ def format_orientation(u):
     return f"orient {body}"
 
 
+def parse_edge_map(g, h, data):
+    """An edge map read from JSON: an object pairing every source edge id
+    with a distinct target edge id."""
+    if not isinstance(data, dict) or not all(
+        isinstance(s, str) and isinstance(t, str) for s, t in data.items()
+    ):
+        raise ParseError("edge_map must be a JSON object of edge id strings")
+    if set(data) != set(g.edge_ids) or sorted(data.values()) != sorted(h.edge_ids):
+        raise ValidationError("edge_map is not a bijection between the edge sets")
+    return data
+
+
 def load_morphism(path):
     """Load a morphism JSON file; graph paths resolve relative to the file."""
+    name = os.path.basename(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{os.path.basename(path)}: invalid JSON: {exc}") from exc
+            raise ParseError(f"{name}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{name}: expected a JSON object")
     for key in ("source", "target", "edge_map"):
         if key not in data:
-            raise ParseError(f"{os.path.basename(path)}: missing key {key!r}")
+            raise ParseError(f"{name}: missing key {key!r}")
+    for key in ("source", "target"):
+        if not isinstance(data[key], str):
+            raise ParseError(f"{name}: {key!r} must be a path string")
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -117,13 +135,7 @@ def load_morphism(path):
 
     g = load_graph(resolve(data["source"]))
     h = load_graph(resolve(data["target"]))
-    edge_map = dict(data["edge_map"])
-    for s, t in edge_map.items():
-        if not g.has_edge(s):
-            raise ValidationError(f"edge {s!r} not in source graph")
-        if not h.has_edge(t):
-            raise ValidationError(f"edge {t!r} not in target graph")
-    return g, h, edge_map
+    return g, h, parse_edge_map(g, h, data["edge_map"])
 
 
 def fixture_path(name):

@@ -162,13 +162,6 @@ class EdgePath:
                 del out[e]
         return out
 
-    def reversed(self):
-        return EdgePath(
-            tuple(reversed(self.edges)),
-            tuple(-s for s in reversed(self.signs)),
-            tuple(reversed(self.vertices)),
-        )
-
 
 @dataclass(frozen=True)
 class Arch:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BaseNotPreserved,
@@ -79,26 +80,82 @@ def validate_cyclic_bijection(g, h, edge_map, require_base=True):
 
 @dataclass(frozen=True)
 class OrCycMorphism:
-    """A base-preserving cyclic bijection with its computed sign function."""
+    """A base-preserving cyclic bijection with its computed sign function.
+    Its action on Pic is computed at most once and cached."""
 
     source: object
     target: object
     edge_map: tuple  # sorted ((source edge, target edge), ...)
     signs: tuple  # sorted ((source edge, +1 | -1), ...)
 
-    def map_edge(self, e):
-        return dict(self.edge_map)[e]
-
-    @property
+    @cached_property
     def edge_dict(self):
         return dict(self.edge_map)
 
-    @property
+    @cached_property
     def sign_dict(self):
         return dict(self.signs)
 
+    def map_edge(self, e):
+        return self.edge_dict[e]
+
     def sgn(self, e):
-        return dict(self.signs)[e]
+        return self.sign_dict[e]
+
+    @cached_property
+    def push(self):
+        """phi_* on divisors: a function d -> D on the target with phi_*[d] = [D].
+
+        p_v is the integer chain of the search-tree path from t0 = t(base) to v,
+        so [v - t0] = [boundary p_v].  A signed permutation that carries the
+        cycle lattice onto itself also carries the cut lattice onto itself, so
+        phi_*[boundary y] = [boundary phi_*(y)] for every integer chain y.  With
+        img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)]."""
+        g, h = self.source, self.target
+        emap, sgn = self.edge_dict, self.sign_dict
+        img = {g.base_head: {}}
+        queue = deque([g.base_head])
+        while queue:
+            u = queue.popleft()
+            for e in g.incident(u):
+                w = g.other_end(e, u)
+                if w in img:
+                    continue
+                c = sgn[e] if g.t(e) == w else -sgn[e]
+                r = emap[e]
+                step = dict(img[u])
+                step[h.t(r)] = step.get(h.t(r), 0) + c
+                step[h.o(r)] = step.get(h.o(r), 0) - c
+                img[w] = step
+                queue.append(w)
+        t0 = h.base_head
+
+        def push(d):
+            coeffs = {t0: d.degree}
+            for v, k in d.items():
+                for w, a in img[v].items():
+                    coeffs[w] = coeffs.get(w, 0) + k * a
+            return Divisor(h, coeffs)
+
+        return push
+
+    @cached_property
+    def rigidity(self):
+        """E_phi; see `rigidity_divisor`."""
+        return diagram_defect(self, base_orientation(self.source))
+
+    @cached_property
+    def vertex_image(self):
+        """Source vertex p -> the target vertex r with phi_*[p] = [r], or None.
+
+        The r is unique: distinct vertices of a 2-edge-connected graph have
+        distinct degree-1 classes."""
+        g, h = self.source, self.target
+        vertex_of_class = {DivisorClass(h, vertex_divisor(h, r)): r for r in h.vertex_ids}
+        return {
+            p: vertex_of_class.get(DivisorClass(h, self.push(vertex_divisor(g, p))))
+            for p in g.vertex_ids
+        }
 
     def __repr__(self):
         return f"OrCycMorphism({self.source!r} -> {self.target!r})"
@@ -173,21 +230,17 @@ def compute_signs(g, h, edge_map, seed=None):
     return signs
 
 
-def make_morphism(g, h, edge_map, seed=None, precomputed_signs=None):
+def make_morphism(g, h, edge_map):
     require_orcyc_object(g)
     require_orcyc_object(h)
     if not validate_cyclic_bijection(g, h, edge_map):
         raise InvalidCyclicBijection("edge_map does not preserve simple cycles")
-    if precomputed_signs is None:
-        signs = compute_signs(g, h, edge_map, seed=seed)
-    else:
-        signs = dict(precomputed_signs)
+    signs = compute_signs(g, h, edge_map)
     return OrCycMorphism(g, h, _freeze_map(edge_map), _freeze_map(signs))
 
 
 def identity_morphism(g):
-    ident = {e: e for e in g.edge_ids}
-    return make_morphism(g, g, ident, precomputed_signs={e: 1 for e in g.edge_ids})
+    return make_morphism(g, g, {e: e for e in g.edge_ids})
 
 
 def compose(m2, m1):
@@ -211,43 +264,6 @@ def inverse_morphism(m):
 # -- pushforwards ------------------------------------------------------------
 
 
-def _pushforward(m):
-    """phi_* on divisors: a function d -> D on the target with phi_*[d] = [D].
-
-    p_v is the integer chain of the search-tree path from t0 = t(base) to v,
-    so [v - t0] = [boundary p_v].  A signed permutation that carries the
-    cycle lattice onto itself also carries the cut lattice onto itself, so
-    phi_*[boundary y] = [boundary phi_*(y)] for every integer chain y.  With
-    img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)]."""
-    g, h = m.source, m.target
-    emap, sgn = m.edge_dict, m.sign_dict
-    img = {g.base_head: {}}
-    queue = deque([g.base_head])
-    while queue:
-        u = queue.popleft()
-        for e in g.incident(u):
-            w = g.other_end(e, u)
-            if w in img:
-                continue
-            c = sgn[e] if g.t(e) == w else -sgn[e]
-            r = emap[e]
-            step = dict(img[u])
-            step[h.t(r)] = step.get(h.t(r), 0) + c
-            step[h.o(r)] = step.get(h.o(r), 0) - c
-            img[w] = step
-            queue.append(w)
-    t0 = h.base_head
-
-    def push(d):
-        coeffs = {t0: d.degree}
-        for v, k in d.items():
-            for w, a in img[v].items():
-                coeffs[w] = coeffs.get(w, 0) + k * a
-        return Divisor(h, coeffs)
-
-    return push
-
-
 def pushforward_orientation(m, u):
     emap, sgn = m.edge_dict, m.sign_dict
     states = {}
@@ -263,7 +279,7 @@ def pushforward_orientation(m, u):
 
 def pushforward_class(m, cls):
     """phi_*[cls] as a class on the target (any degree)."""
-    return DivisorClass(m.target, _pushforward(m)(cls.representative))
+    return DivisorClass(m.target, m.push(cls.representative))
 
 
 # -- rigidity ----------------------------------------------------------------
@@ -272,8 +288,9 @@ def pushforward_class(m, cls):
 def rigidity_divisor(m):
     """E_phi = phi_*[c(O_G)] - [c(O_H)] + sum over sign -1 edges e of
     [t(phi e) - o(phi e)] as a degree-0 class on the target.  That sum is
-    c(O_H) - c(phi_O(O_G)), so E_phi is the diagram defect of O_G."""
-    return diagram_defect(m, base_orientation(m.source))
+    c(O_H) - c(phi_O(O_G)), so E_phi is the diagram defect of O_G.  It is
+    computed once per morphism."""
+    return m.rigidity
 
 
 def lowering_divisor(m, edge_set):
@@ -283,12 +300,12 @@ def lowering_divisor(m, edge_set):
     emap = m.edge_dict
     heads = Divisor(h, Counter(h.t(emap[e]) for e in edge_set))
     tails = Divisor(g, Counter(g.t(e) for e in edge_set))
-    return DivisorClass(h, heads - _pushforward(m)(tails))
+    return DivisorClass(h, heads - m.push(tails))
 
 
 def diagram_defect(m, u):
     """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target."""
-    image = _pushforward(m)(chern_class(u))
+    image = m.push(chern_class(u))
     return DivisorClass(m.target, image - chern_class(pushforward_orientation(m, u)))
 
 
@@ -308,18 +325,15 @@ def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
     g, h = m.source, m.target
     theta_g = theta_divisor(g, max_classes=max_classes)
     theta_h = theta_divisor(h, max_classes=max_classes)
-    push = _pushforward(m)
-    return {DivisorClass(h, push(c.representative)) for c in theta_g} == theta_h
+    return {DivisorClass(h, m.push(c.representative)) for c in theta_g} == theta_h
 
 
 def s1_image_preserved(m):
     """Whether the image of the degree-1 Abel-Jacobi map is carried over:
-    {phi_*[v]} = {[w]}, both sides translated by the base heads."""
+    {phi_*[v]} = {[w]}, both sides translated by the base heads; as
+    |V(G)| = |V(H)|, iff the vertex images are a bijection onto V(H)."""
     _require_genus(m)
-    g, h = m.source, m.target
-    push = _pushforward(m)
-    src = {DivisorClass(h, push(vertex_divisor(g, v))) for v in g.vertices}
-    return src == {DivisorClass(h, vertex_divisor(h, w)) for w in h.vertices}
+    return set(m.vertex_image.values()) == set(m.target.vertex_ids)
 
 
 def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
@@ -333,7 +347,6 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
     theta_h = theta_divisor(h, max_classes=max_classes)
     e_rep = rigidity_divisor(m).representative
     inv = inverse_morphism(m)
-    push = _pushforward(m)
     for v in sorted(h.vertex_ids, key=id_key):
         q = e_rep + vertex_divisor(h, v)
         if is_effective_class(h, q):
@@ -346,12 +359,12 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
         u = pushforward_orientation(inv, w_orient)
         s_div = chern_class(u) - Divisor(g, {g.base_head: gen - 1})
         s = DivisorClass(g, s_div)
-        image = DivisorClass(h, push(s.representative))
+        image = DivisorClass(h, m.push(s.representative))
         if s in theta_g and image not in theta_h:
             return s, image
     # Fallback: direct search over the source theta divisor.
     for s in sorted(theta_g, key=lambda c: tuple(c.representative.items())):
-        image = DivisorClass(h, push(s.representative))
+        image = DivisorClass(h, m.push(s.representative))
         if image not in theta_h:
             return s, image
     raise InternalError("non-rigid morphism but theta image matches")
@@ -362,57 +375,30 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
 
 def lift_to_graph_isomorphism(m):
     """For a rigid morphism, a series-fixing correction psi and a vertex map
-    such that psi composed with the edge map is a graph isomorphism."""
-    _require_genus(m)
+    such that psi composed with the edge map is a graph isomorphism.  Each
+    edge e goes to the one edge of phi(e)'s series class joining the images
+    of its ends: parallel edges in one series class only occur in a digon,
+    which has genus 1."""
     if not is_rigid(m):
         raise MorphismNotRigid("only rigid morphisms lift")
     g, h = m.source, m.target
     emap = m.edge_dict
-    push = _pushforward(m)
-    vertices_of_class = {}
-    for r in h.vertex_ids:
-        vertices_of_class.setdefault(DivisorClass(h, vertex_divisor(h, r)), []).append(r)
+    vertex_map = dict(m.vertex_image)
+    vertex_map[g.base_head] = h.base_head
+    vertex_map[g.base_tail] = h.base_tail
+    for p, r in vertex_map.items():
+        if r is None:
+            raise InternalError(f"no target vertex has the class phi_*[{p!r}]")
     block_of = {r: block for block in series_classes(h) for r in block}
-
-    def locate(p):
-        """The target vertex r with phi_*[p] = [r]."""
-        matches = vertices_of_class.get(DivisorClass(h, push(vertex_divisor(g, p))), [])
-        if len(matches) != 1:
-            raise InternalError(f"vertex image for {p!r} is not unique: {matches}")
-        return matches[0]
-
-    vertex_map = {g.base_head: h.base_head, g.base_tail: h.base_tail}
-    assigned = {g.base_edge: h.base_edge}
-    used = {h.base_edge}
-    pending = [e for e in g.edge_ids if e != g.base_edge]
-    while pending:
-        progressed = False
-        for e in list(pending):
-            ends = g.ends(e)
-            mapped = [v for v in ends if v in vertex_map]
-            if not mapped:
-                continue
-            for p in ends:
-                if p not in vertex_map:
-                    vertex_map[p] = locate(p)
-            a, b = (vertex_map[ends[0]], vertex_map[ends[1]])
-            candidates = [
-                r
-                for r in block_of[emap[e]]
-                if r not in used and frozenset(h.ends(r)) == frozenset((a, b))
-            ]
-            if not candidates:
-                raise InternalError(
-                    f"no unused series-class edge between {a!r} and {b!r} "
-                    f"for {e!r}"
-                )
-            choice = min(candidates, key=id_key)
-            assigned[e] = choice
-            used.add(choice)
-            pending.remove(e)
-            progressed = True
-        if not progressed:
-            raise InternalError("lift construction stalled; graph disconnected?")
+    assigned = {}
+    for e in g.edge_ids:
+        ends = frozenset(vertex_map[p] for p in g.ends(e))
+        candidates = [r for r in block_of[emap[e]] if frozenset(h.ends(r)) == ends]
+        if len(candidates) != 1:
+            raise InternalError(
+                f"series-class edges joining the images of {e!r}: {candidates}"
+            )
+        assigned[e] = candidates[0]
 
     # psi corrects phi edge-by-edge: psi(phi(e)) = assigned(e).
     psi = {emap[e]: assigned[e] for e in g.edge_ids}
@@ -475,7 +461,6 @@ def lift_matroid_isomorphism(g, h, edge_map):
         if is_rigid(morphism):
             psi, vmap = lift_to_graph_isomorphism(morphism)
             final = {e: psi[composed[e]] for e in g2.edge_ids}
-            _verify_isomorphism(g2, h2, final, vmap)
             return MatroidLift(
                 _freeze_map(final),
                 _freeze_map(vmap),

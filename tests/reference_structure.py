@@ -2,14 +2,23 @@
 2-connectivity by removing each vertex in turn, edge connectivity by
 max-flows that rescan a capacity dict, series classes by testing every
 pair of edges for a cut, fundamental cycles by a breadth-first search in
-the spanning tree, and signs from one cycle through the base per edge."""
+the spanning tree, signs from one cycle through the base per edge, and
+the lift to a graph isomorphism that rebuilds phi_* and the vertex-class
+table on every call and grows the vertex map edge by edge."""
 
 from collections import deque
 from itertools import combinations
 
-from rigidlift.errors import NotTwoEdgeConnected
+from rigidlift.divisor import Divisor, DivisorClass, vertex_divisor
+from rigidlift.errors import InternalError, MorphismNotRigid, NotTwoEdgeConnected
 from rigidlift.multigraph import EdgePath, cycle_through_edges, id_key, spanning_tree_edges
-from rigidlift.orcyc import _traverse_edge_subset_cycle
+from rigidlift.orcyc import (
+    _require_genus,
+    _traverse_edge_subset_cycle,
+    _verify_isomorphism,
+    pushforward_orientation,
+)
+from rigidlift.orientation import base_orientation, chern_class
 
 
 def is_connected(g, removed_edges=frozenset(), removed_vertices=frozenset()):
@@ -153,3 +162,107 @@ def compute_signs(g, h, edge_map, seed=None):
         flip = img_signs[edge_map[base]]
         signs[u] = img_signs[edge_map[u]] * flip * src_signs[u] * src_signs[base]
     return signs
+
+
+def pushforward(m):
+    """phi_* on divisors, built afresh on every call."""
+    g, h = m.source, m.target
+    emap, sgn = dict(m.edge_map), dict(m.signs)
+    img = {g.base_head: {}}
+    queue = deque([g.base_head])
+    while queue:
+        u = queue.popleft()
+        for e in g.incident(u):
+            w = g.other_end(e, u)
+            if w in img:
+                continue
+            c = sgn[e] if g.t(e) == w else -sgn[e]
+            r = emap[e]
+            step = dict(img[u])
+            step[h.t(r)] = step.get(h.t(r), 0) + c
+            step[h.o(r)] = step.get(h.o(r), 0) - c
+            img[w] = step
+            queue.append(w)
+    t0 = h.base_head
+
+    def push(d):
+        coeffs = {t0: d.degree}
+        for v, k in d.items():
+            for w, a in img[v].items():
+                coeffs[w] = coeffs.get(w, 0) + k * a
+        return Divisor(h, coeffs)
+
+    return push
+
+
+def is_rigid(m):
+    _require_genus(m)
+    o_g = base_orientation(m.source)
+    image = pushforward(m)(chern_class(o_g))
+    return DivisorClass(m.target, image - chern_class(pushforward_orientation(m, o_g))).is_zero
+
+
+def s1_image_preserved(m):
+    _require_genus(m)
+    g, h = m.source, m.target
+    push = pushforward(m)
+    src = {DivisorClass(h, push(vertex_divisor(g, v))) for v in g.vertices}
+    return src == {DivisorClass(h, vertex_divisor(h, w)) for w in h.vertices}
+
+
+def lift_to_graph_isomorphism(m):
+    _require_genus(m)
+    if not is_rigid(m):
+        raise MorphismNotRigid("only rigid morphisms lift")
+    g, h = m.source, m.target
+    emap = dict(m.edge_map)
+    push = pushforward(m)
+    vertices_of_class = {}
+    for r in h.vertex_ids:
+        vertices_of_class.setdefault(DivisorClass(h, vertex_divisor(h, r)), []).append(r)
+    block_of = {r: block for block in series_classes(h) for r in block}
+
+    def locate(p):
+        matches = vertices_of_class.get(DivisorClass(h, push(vertex_divisor(g, p))), [])
+        if len(matches) != 1:
+            raise InternalError(f"vertex image for {p!r} is not unique: {matches}")
+        return matches[0]
+
+    vertex_map = {g.base_head: h.base_head, g.base_tail: h.base_tail}
+    assigned = {g.base_edge: h.base_edge}
+    used = {h.base_edge}
+    pending = [e for e in g.edge_ids if e != g.base_edge]
+    while pending:
+        progressed = False
+        for e in list(pending):
+            ends = g.ends(e)
+            mapped = [v for v in ends if v in vertex_map]
+            if not mapped:
+                continue
+            for p in ends:
+                if p not in vertex_map:
+                    vertex_map[p] = locate(p)
+            a, b = (vertex_map[ends[0]], vertex_map[ends[1]])
+            candidates = [
+                r
+                for r in block_of[emap[e]]
+                if r not in used and frozenset(h.ends(r)) == frozenset((a, b))
+            ]
+            if not candidates:
+                raise InternalError(
+                    f"no unused series-class edge between {a!r} and {b!r} for {e!r}"
+                )
+            choice = min(candidates, key=id_key)
+            assigned[e] = choice
+            used.add(choice)
+            pending.remove(e)
+            progressed = True
+        if not progressed:
+            raise InternalError("lift construction stalled; graph disconnected?")
+
+    psi = {emap[e]: assigned[e] for e in g.edge_ids}
+    _verify_isomorphism(g, h, assigned, vertex_map)
+    for r, r2 in psi.items():
+        if r2 not in block_of[r]:
+            raise InternalError("correction permutation is not series fixing")
+    return psi, vertex_map

@@ -455,3 +455,70 @@ class TestReadmeExamples:
             out = capsys.readouterr().out
             assert code in (0, 1), line
             assert isinstance(json.loads(out), dict), line
+
+
+class TestCliMalformedInput:
+    """Malformed input exits 2 with a JSON error, never a traceback."""
+
+    @staticmethod
+    def write_morphism(tmp_path, data):
+        path = tmp_path / "m.morphism.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def morphism(self, tmp_path, edge_map):
+        return self.write_morphism(
+            tmp_path,
+            {"source": fixture_path("G.graph"), "target": fixture_path("H.graph"), "edge_map": edge_map},
+        )
+
+    def test_non_integer_env_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIGIDLIFT_MAX_CLASSES", "abc")
+        code, out = run(capsys, ["--no-timings", "divisor", fixture_path("K.graph"), "theta"])
+        assert code == 2 and out["error"]["type"] == "ParseError"
+
+    def test_negative_flag_bound(self, capsys):
+        code, out = run(
+            capsys, ["--no-timings", "--max-classes", "-5", "divisor", fixture_path("K.graph"), "theta"]
+        )
+        assert code == 2 and "error" in out
+
+    def test_negative_env_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIGIDLIFT_MAX_CLASSES", "-5")
+        code, out = run(capsys, ["--no-timings", "divisor", fixture_path("K.graph"), "theta"])
+        assert code == 2 and "error" in out
+
+    def test_morphism_file_not_an_object(self, capsys, tmp_path):
+        code, out = run(capsys, ["--no-timings", "rigidity", self.write_morphism(tmp_path, 5)])
+        assert code == 2 and out["error"]["type"] == "ParseError"
+
+    def test_edge_map_not_an_object(self, capsys, tmp_path):
+        code, out = run(capsys, ["--no-timings", "rigidity", self.morphism(tmp_path, 5)])
+        assert code == 2 and out["error"]["type"] == "ParseError"
+
+    def test_edge_map_value_not_a_string(self, capsys, tmp_path):
+        code, out = run(capsys, ["--no-timings", "rigidity", self.morphism(tmp_path, {"e1": ["r1"]})])
+        assert code == 2 and out["error"]["type"] == "ParseError"
+
+    def test_lift_matroid_map_value_not_a_string(self, capsys, tmp_path):
+        map_file = tmp_path / "map.json"
+        map_file.write_text(json.dumps({"edge_map": {"e1": ["r1"]}}))
+        code, out = run(
+            capsys,
+            ["--no-timings", "lift-matroid", fixture_path("G.graph"), fixture_path("H.graph"), str(map_file)],
+        )
+        assert code == 2 and out["error"]["type"] == "ParseError"
+
+    def test_lift_matroid_incomplete_map(self, capsys, tmp_path):
+        map_file = tmp_path / "map.json"
+        map_file.write_text(json.dumps({"edge_map": {f"e{i}": f"r{i}" for i in range(1, 7)}}))
+        code, out = run(
+            capsys,
+            ["--no-timings", "lift-matroid", fixture_path("G.graph"), fixture_path("H.graph"), str(map_file)],
+        )
+        assert code == 2 and out["error"]["type"] == "ValidationError"
+
+    def test_rigidity_incomplete_map(self, capsys, tmp_path):
+        edge_map = {f"e{i}": f"r{i}" for i in range(1, 7)}
+        code, out = run(capsys, ["--no-timings", "rigidity", self.morphism(tmp_path, edge_map)])
+        assert code == 2 and out["error"]["type"] == "ValidationError"

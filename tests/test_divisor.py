@@ -1,3 +1,5 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,3 +272,9 @@ class TestEffectiveness:
     def test_all_vertices_divisor(self, G):
         assert all_vertices_divisor(G) == Divisor(G, {v: 1 for v in G.vertex_ids})
         assert is_effective_class(G, all_vertices_divisor(G))
+
+
+def test_divisor_submodule_is_not_shadowed():
+    import rigidlift.divisor as d
+
+    assert isinstance(d, types.ModuleType) and d.Divisor is Divisor

@@ -4,6 +4,7 @@ layer as first written (tests/reference_structure.py)."""
 
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -16,10 +17,11 @@ from helpers import (
     cycle_plus_chords,
     random_multigraph,
     sample_morphisms,
+    series_transposition_morphisms,
     whitney_morphisms,
 )
 
-from rigidlift.errors import NoCommonCycle, NotTwoEdgeConnected
+from rigidlift.errors import InternalError, NoCommonCycle, NotTwoEdgeConnected, RigidliftError
 from rigidlift.multigraph import (
     biconnectivity,
     build_graph,
@@ -28,7 +30,13 @@ from rigidlift.multigraph import (
     fundamental_cycles,
     series_classes,
 )
-from rigidlift.orcyc import compute_signs, is_rigid, lift_to_graph_isomorphism, make_morphism
+from rigidlift.orcyc import (
+    compute_signs,
+    is_rigid,
+    lift_to_graph_isomorphism,
+    make_morphism,
+    s1_image_preserved,
+)
 
 
 def _triples(g, tag):
@@ -165,3 +173,60 @@ def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
     # One fundamental-cycle pass per graph: g for the validation and the
     # signs, h for the series classes.
     assert cycle_basis.cache_info().misses == 2
+
+
+@lru_cache(maxsize=None)
+def _based_morphisms():
+    """Every catalogue graph at every base edge, with up to three Whitney
+    moves and two series transpositions, plus the sampled morphisms."""
+    out = list(sample_morphisms(catalogue(), 400))
+    for g in catalogue():
+        for base in g.edge_ids:
+            gb = g.with_base(base)
+            out.extend(whitney_morphisms(gb, limit=3))
+            out.extend(series_transposition_morphisms(gb, limit=2))
+    return tuple(out)
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except RigidliftError as exc:
+        return type(exc)
+
+
+def test_lift_and_s1_match_reference_at_every_base():
+    rigid_outcomes = Counter()
+    for m in _based_morphisms():
+        rigid = is_rigid(m)
+        assert rigid == ref.is_rigid(m)
+        assert s1_image_preserved(m) == ref.s1_image_preserved(m)
+        lifted = _outcome(lift_to_graph_isomorphism, m)
+        assert lifted == _outcome(ref.lift_to_graph_isomorphism, m)
+        if rigid:
+            rigid_outcomes[lifted if isinstance(lifted, type) else "lift"] += 1
+    # A base inside a series class can leave a rigid morphism without a
+    # lift that fixes the base; both versions raise InternalError there.
+    assert rigid_outcomes["lift"] > 1000 and rigid_outcomes[InternalError] >= 1
+    assert set(rigid_outcomes) == {"lift", InternalError}
+
+
+def test_lift_op_reduces_each_class_once(monkeypatch):
+    g = cycle_plus_chords(16, 8, 3)
+    h, emap = relabelled(g, random.Random(5))
+    divisor_module = sys.modules["rigidlift.divisor"]
+    calls = [0]
+    q_reduce = divisor_module.q_reduce
+
+    def counting(*args):
+        calls[0] += 1
+        return q_reduce(*args)
+
+    monkeypatch.setattr(divisor_module, "q_reduce", counting)
+    m = make_morphism(g, h, emap)
+    assert is_rigid(m)
+    lift_to_graph_isomorphism(m)
+    assert s1_image_preserved(m)
+    # One reduction for E_phi, one per target vertex class and one per
+    # pushed source vertex.
+    assert calls[0] <= 2 * len(g.vertices) + 1
