@@ -12,6 +12,7 @@ import time
 
 from . import __version__
 from .errors import (
+    EnumerationBoundExceeded,
     ParseError,
     RigidliftError,
     ValidationError,
@@ -346,7 +347,14 @@ def main(argv=None):
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args, start)
         return EXIT_INPUT
     except RigidliftError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args, start)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, EnumerationBoundExceeded):
+            error.update(limit=exc.limit, reached=exc.reached)
+        _emit({"error": error}, args, start)
+        return EXIT_DOMAIN
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        _emit({"error": {"type": "InternalError", "message": message}}, args, start)
         return EXIT_DOMAIN
     report = {"schema": "1", "command": args.command, **report}
     _emit(report, args, start)

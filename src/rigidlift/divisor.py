@@ -360,7 +360,7 @@ def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
                 continue
             found.append(class_of(child, size + 1))
             if len(found) > max_classes:
-                raise EnumerationBoundExceeded(f"more than {max_classes} classes")
+                raise EnumerationBoundExceeded(max_classes, len(found))
             stack.append((child, p, size + 1))
     return frozenset(found)
 

@@ -42,7 +42,15 @@ class NoCommonCycle(RigidliftError):
 # -- divisors ----------------------------------------------------------------
 
 class EnumerationBoundExceeded(RigidliftError):
-    pass
+    """An enumeration found `reached` items, more than its bound `limit`."""
+
+    def __init__(self, limit, reached):
+        super().__init__(limit, reached)
+        self.limit = limit
+        self.reached = reached
+
+    def __str__(self):
+        return f"more than {self.limit} classes"
 
 
 class WrongDegree(RigidliftError):

@@ -148,14 +148,35 @@ class OrCycMorphism:
     def vertex_image(self):
         """Source vertex p -> the target vertex r with phi_*[p] = [r], or None.
 
-        The r is unique: distinct vertices of a 2-edge-connected graph have
-        distinct degree-1 classes."""
+        A breadth-first walk from t0, whose image is t0'.  Across an edge
+        u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
+        c [t(r) - o(r)], so if u goes to the end of r that this step leaves,
+        w goes to the other end.  Otherwise push(w) is q-reduced once.  In a
+        2-edge-connected graph every component of H - y meets y in at least
+        2 edges, so the single chip y is already reduced (Dhar's burning):
+        [push(w)] is a vertex class iff its reduced form is one chip, and
+        that chip names the vertex."""
         g, h = self.source, self.target
-        vertex_of_class = {DivisorClass(h, vertex_divisor(h, r)): r for r in h.vertex_ids}
-        return {
-            p: vertex_of_class.get(DivisorClass(h, self.push(vertex_divisor(g, p))))
-            for p in g.vertex_ids
-        }
+        emap, sgn = self.edge_dict, self.sign_dict
+        image = {g.base_head: h.base_head}
+        queue = deque([g.base_head])
+        while queue:
+            u = queue.popleft()
+            for e in g.incident(u):
+                w = g.other_end(e, u)
+                if w in image:
+                    continue
+                r = emap[e]
+                forward = (g.t(e) == w) == (sgn[e] == 1)
+                left, entered = (h.o(r), h.t(r)) if forward else (h.t(r), h.o(r))
+                if image[u] == left:
+                    image[w] = entered
+                else:
+                    reduced = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
+                    chips = reduced.items()
+                    image[w] = chips[0][0] if len(chips) == 1 and chips[0][1] == 1 else None
+                queue.append(w)
+        return {p: image[p] for p in g.vertex_ids}
 
     def __repr__(self):
         return f"OrCycMorphism({self.source!r} -> {self.target!r})"

@@ -109,7 +109,7 @@ def enumerate_picard(g, degree, max_classes):
                 if nxt not in seen:
                     seen.add(nxt)
                     if len(seen) > max_classes:
-                        raise EnumerationBoundExceeded(f"more than {max_classes} classes")
+                        raise EnumerationBoundExceeded(max_classes, len(seen))
                     frontier.append(nxt)
     return frozenset(seen)
 

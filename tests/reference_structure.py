@@ -266,3 +266,15 @@ def lift_to_graph_isomorphism(m):
         if r2 not in block_of[r]:
             raise InternalError("correction permutation is not series fixing")
     return psi, vertex_map
+
+
+def vertex_image(m):
+    """Source vertex p -> the target vertex r with phi_*[p] = [r], or None:
+    q-reduces every target vertex class and every pushed source vertex."""
+    g, h = m.source, m.target
+    push = pushforward(m)
+    vertex_of_class = {DivisorClass(h, vertex_divisor(h, r)): r for r in h.vertex_ids}
+    return {
+        p: vertex_of_class.get(DivisorClass(h, push(vertex_divisor(g, p))))
+        for p in g.vertex_ids
+    }

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rigidlift
+from rigidlift import cli
 from rigidlift.cli import main
 from rigidlift.divisor import Divisor
 from rigidlift.errors import ParseError, ValidationError
@@ -142,6 +143,25 @@ class TestCliInfo:
         _, out1 = run(capsys, ["--no-timings", "info", fixture_path("K.graph")])
         _, out2 = run(capsys, ["--no-timings", "info", fixture_path("K.graph")])
         assert out1 == out2
+
+    def test_unexpected_exception_is_internal_error_json(self, capsys, monkeypatch):
+        def broken(args, max_classes):
+            raise KeyError("v9")
+
+        monkeypatch.setattr(cli, "cmd_info", broken)
+        code = main(["--no-timings", "info", fixture_path("K.graph")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"] == {
+            "type": "InternalError",
+            "message": "KeyError: 'v9'",
+        }
+        assert "Traceback" not in captured.err
+
+    def test_usage_error_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["info"])
+        assert exc.value.code == 2
 
 
 class TestCliRigidity:
@@ -317,6 +337,19 @@ class TestCliDivisor:
         )
         assert code == 1
         assert out["error"]["type"] == "EnumerationBoundExceeded"
+
+    def test_class_bound_reports_limit_and_reached(self, capsys):
+        code, out = run(
+            capsys,
+            ["--no-timings", "--max-classes", "5", "divisor", fixture_path("K.graph"), "theta"],
+        )
+        assert code == 1
+        assert out["error"] == {
+            "type": "EnumerationBoundExceeded",
+            "message": "more than 5 classes",
+            "limit": 5,
+            "reached": 6,
+        }
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RIGIDLIFT_MAX_CLASSES", "3")

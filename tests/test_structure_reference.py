@@ -21,6 +21,7 @@ from helpers import (
     whitney_morphisms,
 )
 
+from rigidlift.divisor import q_reduce, vertex_divisor
 from rigidlift.errors import InternalError, NoCommonCycle, NotTwoEdgeConnected, RigidliftError
 from rigidlift.multigraph import (
     biconnectivity,
@@ -211,22 +212,72 @@ def test_lift_and_s1_match_reference_at_every_base():
     assert set(rigid_outcomes) == {"lift", InternalError}
 
 
-def test_lift_op_reduces_each_class_once(monkeypatch):
-    g = cycle_plus_chords(16, 8, 3)
-    h, emap = relabelled(g, random.Random(5))
+def _count_q_reduce(monkeypatch):
     divisor_module = sys.modules["rigidlift.divisor"]
     calls = [0]
-    q_reduce = divisor_module.q_reduce
+    original = divisor_module.q_reduce
 
     def counting(*args):
         calls[0] += 1
-        return q_reduce(*args)
+        return original(*args)
 
     monkeypatch.setattr(divisor_module, "q_reduce", counting)
+    return calls
+
+
+def _lift_op(g, h, emap):
     m = make_morphism(g, h, emap)
     assert is_rigid(m)
     lift_to_graph_isomorphism(m)
     assert s1_image_preserved(m)
-    # One reduction for E_phi, one per target vertex class and one per
-    # pushed source vertex.
-    assert calls[0] <= 2 * len(g.vertices) + 1
+
+
+def test_lift_op_reduces_each_class_once(monkeypatch):
+    g = cycle_plus_chords(16, 8, 3)
+    h, emap = relabelled(g, random.Random(5))
+    calls = _count_q_reduce(monkeypatch)
+    # The vertex images follow the edges of an isomorphic copy without a
+    # reduction: the one call is for E_phi.
+    _lift_op(g, h, emap)
+    assert calls[0] == 1
+    # A series transposition moves the images of two edges of one class: the
+    # walk reduces once per tree edge whose image no longer leaves the image
+    # of the vertex it comes from.
+    blocks = [b for b in series_classes(h) if len(b) >= 2 and h.base_edge not in b]
+    assert blocks
+    to_src = {r: e for e, r in emap.items()}
+    for block in blocks:
+        a, b = block[:2]
+        swapped = dict(emap)
+        swapped[to_src[a]], swapped[to_src[b]] = b, a
+        calls[0] = 0
+        _lift_op(g, h, swapped)
+        assert 1 < calls[0] <= 3
+
+
+def _vertex_image_morphisms():
+    out = list(_based_morphisms())
+    for seed in range(30):
+        out.extend(whitney_morphisms(cycle_plus_chords(6 + seed % 4, 3, seed), limit=3))
+    return out
+
+
+def test_vertex_image_matches_reference():
+    kinds = Counter()
+    for m in _vertex_image_morphisms():
+        image = m.vertex_image
+        assert image == ref.vertex_image(m)
+        kinds["rigid" if is_rigid(m) else "not rigid"] += 1
+        kinds["partial"] += None in image.values()
+    assert kinds["rigid"] > 1000 and kinds["not rigid"] > 500 and kinds["partial"] > 500
+
+
+def test_single_chip_is_reduced_at_every_vertex():
+    """The fact the vertex-image walk relies on: in a 2-edge-connected graph
+    every single chip e_y is q-reduced, for every q."""
+    ladder = tuple(cycle_plus_chords(n, n // 2, n) for n in range(3, 17))
+    for g in catalogue() + ladder:
+        for q in g.vertex_ids:
+            for y in g.vertex_ids:
+                chip = vertex_divisor(g, y)
+                assert q_reduce(g, chip, q) == chip
