@@ -15,56 +15,62 @@ from .errors import (
     ValidationError,
     WrongDegree,
 )
-from .multigraph import id_key
 
 DEFAULT_MAX_CLASSES = 10**6
 
 
 class Divisor:
-    """An integer-valued function on the vertices of a fixed graph."""
+    """An integer-valued function on the vertices of a fixed graph, held as
+    one coefficient per vertex in `graph.vertex_ids` order."""
 
-    __slots__ = ("graph", "_coeffs", "_hash")
+    __slots__ = ("graph", "vector")
 
     def __init__(self, graph, coeffs=None):
-        self.graph = graph
-        clean = {}
+        index = graph.vertex_index
+        vector = [0] * len(index)
         for v, c in (coeffs or {}).items():
-            if v not in graph.vertices:
+            if v not in index:
                 raise ValidationError(f"vertex {v!r} not in graph")
-            if c:
-                clean[v] = int(c)
-        self._coeffs = clean
-        self._hash = hash((graph, tuple(sorted(clean.items(), key=lambda kv: id_key(kv[0])))))
+            vector[index[v]] = int(c)
+        self.graph = graph
+        self.vector = tuple(vector)
+
+    @classmethod
+    def _of(cls, graph, vector):
+        """The divisor with coefficient vector[i] at graph.vertex_ids[i]."""
+        d = cls.__new__(cls)
+        d.graph = graph
+        d.vector = tuple(vector)
+        return d
 
     def __getitem__(self, v):
-        return self._coeffs.get(v, 0)
+        i = self.graph.vertex_index.get(v)
+        return 0 if i is None else self.vector[i]
 
     def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: id_key(kv[0]))
+        return [(v, c) for v, c in zip(self.graph.vertex_ids, self.vector) if c]
 
     @property
     def degree(self):
-        return sum(self._coeffs.values())
+        return sum(self.vector)
 
     @property
     def is_effective(self):
-        return all(c >= 0 for c in self._coeffs.values())
+        return all(c >= 0 for c in self.vector)
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self._coeffs)
-        for v, c in other._coeffs.items():
-            out[v] = out.get(v, 0) + c
-        return Divisor(self.graph, out)
+        return Divisor._of(self.graph, (a + b for a, b in zip(self.vector, other.vector)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Divisor(self.graph, {v: -c for v, c in self._coeffs.items()})
+        return Divisor._of(self.graph, (-c for c in self.vector))
 
     def __rmul__(self, k):
-        return Divisor(self.graph, {v: int(k) * c for v, c in self._coeffs.items()})
+        k = int(k)
+        return Divisor._of(self.graph, (k * c for c in self.vector))
 
     def _check(self, other):
         if not isinstance(other, Divisor) or other.graph != self.graph:
@@ -73,13 +79,13 @@ class Divisor:
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        return self.graph == other.graph and self._coeffs == other._coeffs
+        return self.graph == other.graph and self.vector == other.vector
 
     def __hash__(self):
-        return self._hash
+        return hash((self.graph, self.vector))
 
     def __repr__(self):
-        if not self._coeffs:
+        if not any(self.vector):
             return "Divisor(0)"
         terms = " ".join(f"{v}:{c}" for v, c in self.items())
         return f"Divisor({terms})"
@@ -95,21 +101,18 @@ def all_vertices_divisor(g):
 
 def laplacian_fire(g, script):
     """Image of a firing script under the Laplacian (adjacency minus degree)."""
-    out = {v: 0 for v in g.vertices}
+    index = g.vertex_index
+    out = [0] * len(index)
     for v, times in script.items():
-        if v not in g.vertices:
+        if v not in index:
             raise ValidationError(f"vertex {v!r} not in graph")
-        if not times:
-            continue
         for e in g.incident(v):
-            w = g.other_end(e, v)
-            out[w] += times
-            out[v] -= times
-    return Divisor(g, out)
+            out[index[g.other_end(e, v)]] += times
+            out[index[v]] -= times
+    return Divisor._of(g, out)
 
 
 class _Core(NamedTuple):
-    verts: tuple  # vertices in id order; index i is verts[i]
     nbrs: tuple  # per index: ((neighbour index, edge multiplicity), ...)
     depth: tuple  # per index: BFS distance from q
     q: int  # index of q
@@ -118,11 +121,10 @@ class _Core(NamedTuple):
 @lru_cache(maxsize=256)
 def _core(g, q):
     """The vertex-indexed view of g rooted at q that reduction, burning and
-    enumeration work on: vertices in id order, neighbour lists with edge
-    multiplicities and BFS depths from q."""
-    verts = g.vertex_ids
-    index = {v: i for i, v in enumerate(verts)}
-    mult = [{} for _ in verts]
+    enumeration work on: index i is g.vertex_ids[i]; neighbour lists with
+    edge multiplicities and BFS depths from q."""
+    index = g.vertex_index
+    mult = [{} for _ in index]
     for e in g.edge_ids:
         a, b = g.ends(e)
         i, j = index[a], index[b]
@@ -130,7 +132,7 @@ def _core(g, q):
         mult[j][i] = mult[j].get(i, 0) + 1
     nbrs = tuple(tuple(sorted(m.items())) for m in mult)
     qi = index[q]
-    depth = [-1] * len(verts)
+    depth = [-1] * len(index)
     depth[qi] = 0
     queue = deque([qi])
     while queue:
@@ -139,17 +141,7 @@ def _core(g, q):
             if depth[j] < 0:
                 depth[j] = depth[i] + 1
                 queue.append(j)
-    return _Core(verts, nbrs, tuple(depth), qi)
-
-
-def _divisor_from_list(g, verts, c):
-    """Divisor with coefficient c[i] at verts[i], where verts is g.vertex_ids."""
-    d = Divisor.__new__(Divisor)
-    items = tuple((v, x) for v, x in zip(verts, c) if x)
-    d.graph = g
-    d._coeffs = dict(items)
-    d._hash = hash((g, items))
-    return d
+    return _Core(nbrs, tuple(depth), qi)
 
 
 def _burn(core, c):
@@ -178,7 +170,9 @@ def q_reduce(g, d, q):
         raise ValidationError(f"vertex {q!r} not in graph")
     core = _core(g, q)
     nbrs, depth = core.nbrs, core.depth
-    c = [d[v] for v in core.verts]
+    if d.graph.vertex_ids != g.vertex_ids:
+        raise ValidationError("divisor is not on the vertices of the graph")
+    c = list(d.vector)
 
     # Phase 1: clear debt working outward-in; firing the ball of radius k-1
     # only adds chips at distance k, enough of them to clear ring k at once.
@@ -204,7 +198,7 @@ def q_reduce(g, d, q):
         burnt, counts = _burn(core, c)
         unburnt = [i for i, b in enumerate(burnt) if not b]
         if not unburnt:
-            return _divisor_from_list(g, core.verts, c)
+            return Divisor._of(g, c)
         times = min(c[i] // counts[i] for i in unburnt if counts[i])
         for i in unburnt:
             c[i] -= times * counts[i]
@@ -219,8 +213,10 @@ def dhar_burn_order(g, d, q):
     if q not in g.vertices:
         raise ValidationError(f"vertex {q!r} not in graph")
     core = _core(g, q)
-    verts, nbrs, qi = core.verts, core.nbrs, core.q
-    c = [d[v] for v in verts]
+    verts, nbrs, qi = g.vertex_ids, core.nbrs, core.q
+    if d.graph.vertex_ids != g.vertex_ids:
+        raise ValidationError("divisor is not on the vertices of the graph")
+    c = d.vector
     counts = [0] * len(c)
     ready = [i for i, x in enumerate(c) if x < 0 and i != qi]
     lit = [x < 0 for x in c]
@@ -340,15 +336,15 @@ def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
     its parent: s minus one chip on its last non-zero vertex.  Each child is
     tested by one Dhar burn, so no q-reduction runs."""
     core = _core(g, g.base_head)
-    verts, qi = core.verts, core.q
-    others = [i for i in range(len(verts)) if i != qi]
+    n, qi = len(g.vertex_ids), core.q
+    others = [i for i in range(n) if i != qi]
 
     def class_of(s, size):
         rep = list(s)
         rep[qi] = degree - size
-        return DivisorClass._of_reduced(g, _divisor_from_list(g, verts, rep))
+        return DivisorClass._of_reduced(g, Divisor._of(g, rep))
 
-    zero = (0,) * len(verts)
+    zero = (0,) * n
     found = [class_of(zero, 0)]
     stack = [(zero, 0, 0)]  # (superstable, first child position, |s|)
     while stack:

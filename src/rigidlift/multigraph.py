@@ -35,7 +35,7 @@ def id_key(x):
 class Multigraph:
     """A connected, loopless directed multigraph with a base edge."""
 
-    __slots__ = ("_vertices", "_edges", "_base", "_incidence", "_edge_ids", "_key", "_hash")
+    __slots__ = ("_vertices", "_edges", "_base", "_incidence", "_edge_ids", "_index", "_key", "_hash")
 
     def __init__(self, vertices, edges, base_edge):
         self._vertices = frozenset(vertices)
@@ -52,6 +52,7 @@ class Multigraph:
             tuple((e, self._edges[e]) for e in self._edge_ids),
             base_edge,
         )
+        self._index = {v: i for i, v in enumerate(self._key[0])}
         self._hash = hash(self._key)
 
     # -- basic accessors -----------------------------------------------------
@@ -71,6 +72,11 @@ class Multigraph:
     @property
     def vertex_ids(self):
         return self._key[0]
+
+    @property
+    def vertex_index(self):
+        """Vertex -> its position in vertex_ids (read-only)."""
+        return self._index
 
     @property
     def base_edge(self):
@@ -513,7 +519,6 @@ def find_arches(g):
     if not two_conn:
         raise NotTwoConnected("arches require a 2-connected graph")
     arches = []
-    seen = set()
     for v, w in combinations(g.vertex_ids, 2):
         removed = {v, w}
         rest = [u for u in g.vertex_ids if u not in removed]
@@ -552,12 +557,6 @@ def find_arches(g):
             comp = set(g.edge_ids) - x
             if len(_side_vertices(g, x)) < 3 or len(_side_vertices(g, comp)) < 3:
                 continue
-            if _side_vertices(g, x) & _side_vertices(g, comp) != removed:
-                continue
-            key = (frozenset(x), (v, w))
-            if key in seen:
-                continue
-            seen.add(key)
             arches.append(Arch(frozenset(x), (v, w), frozenset(comp)))
     return sorted(
         arches,

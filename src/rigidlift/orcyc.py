@@ -110,10 +110,12 @@ class OrCycMorphism:
         so [v - t0] = [boundary p_v].  A signed permutation that carries the
         cycle lattice onto itself also carries the cut lattice onto itself, so
         phi_*[boundary y] = [boundary phi_*(y)] for every integer chain y.  With
-        img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)]."""
+        img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)];
+        img(v) is kept as (target vertex index, coefficient) pairs."""
         g, h = self.source, self.target
         emap, sgn = self.edge_dict, self.sign_dict
-        img = {g.base_head: {}}
+        index = h.vertex_index
+        img = {g.base_head: ()}
         queue = deque([g.base_head])
         while queue:
             u = queue.popleft()
@@ -123,19 +125,19 @@ class OrCycMorphism:
                     continue
                 c = sgn[e] if g.t(e) == w else -sgn[e]
                 r = emap[e]
-                step = dict(img[u])
-                step[h.t(r)] = step.get(h.t(r), 0) + c
-                step[h.o(r)] = step.get(h.o(r), 0) - c
-                img[w] = step
+                img[w] = img[u] + ((index[h.t(r)], c), (index[h.o(r)], -c))
                 queue.append(w)
-        t0 = h.base_head
+        chains = [img[v] for v in g.vertex_ids]
+        t0 = index[h.base_head]
 
         def push(d):
-            coeffs = {t0: d.degree}
-            for v, k in d.items():
-                for w, a in img[v].items():
-                    coeffs[w] = coeffs.get(w, 0) + k * a
-            return Divisor(h, coeffs)
+            out = [0] * len(index)
+            out[t0] = d.degree
+            for k, chain in zip(d.vector, chains):
+                if k:
+                    for i, a in chain:
+                        out[i] += k * a
+            return Divisor._of(h, out)
 
         return push
 

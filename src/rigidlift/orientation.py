@@ -80,18 +80,6 @@ class PartialOrientation:
         raise BiorientedPresent(f"edge {e!r} is bioriented")
 
     @property
-    def has_bioriented(self):
-        return any(s is EdgeState.BIORIENTED for s in self._states.values())
-
-    @property
-    def oriented_edges(self):
-        return [
-            e
-            for e in self.graph.edge_ids
-            if self._states[e] in (EdgeState.FORWARD, EdgeState.BACKWARD)
-        ]
-
-    @property
     def unoriented_set(self):
         return frozenset(
             e for e in self.graph.edge_ids if self._states[e] is EdgeState.UNORIENTED
@@ -174,18 +162,19 @@ def orientation_from_order(g, order):
 def chern_class(u, allow_bioriented=False):
     """Sum of heads over oriented edges minus the sum of all vertices."""
     g = u.graph
-    coeffs = {v: -1 for v in g.vertices}
+    index = g.vertex_index
+    coeffs = [-1] * len(index)
     for e in g.edge_ids:
         s = u.state(e)
         if s is EdgeState.BIORIENTED:
             if not allow_bioriented:
                 raise BiorientedPresent(f"edge {e!r} is bioriented")
             o, t = g.ends(e)
-            coeffs[o] += 1
-            coeffs[t] += 1
+            coeffs[index[o]] += 1
+            coeffs[index[t]] += 1
         elif s is not EdgeState.UNORIENTED:
-            coeffs[u.head(e)] += 1
-    return Divisor(g, coeffs)
+            coeffs[index[u.head(e)]] += 1
+    return Divisor._of(g, coeffs)
 
 
 def is_sourceless(u):
@@ -321,23 +310,9 @@ def apply_move(u, move):
 # -- torsor action and lifting -----------------------------------------------
 
 
-def _reachable(u, start):
-    seen = {start}
-    arcs_from = {}
-    for tail, head, e in u.arcs():
-        arcs_from.setdefault(tail, []).append(head)
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in arcs_from.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def _oriented_path(u, src, dst):
-    """Edges of an oriented path src -> dst, or None."""
+    """(edges of an oriented path src -> dst, None), or, if there is none,
+    (None, the vertices reachable from src)."""
     prev = {src: None}
     arcs_from = {}
     for tail, head, e in u.arcs():
@@ -352,7 +327,7 @@ def _oriented_path(u, src, dst):
                 prev[w] = (e, v)
                 queue.append(w)
     if dst not in prev:
-        return None
+        return None, set(prev)
     path = []
     node = dst
     while prev[node] is not None:
@@ -360,7 +335,7 @@ def _oriented_path(u, src, dst):
         path.append(e)
         node = v
     path.reverse()
-    return path
+    return path, None
 
 
 def torsor_act(g, d, u):
@@ -379,20 +354,18 @@ def torsor_act(g, d, u):
     if dd.degree != 0:
         raise DegreeMismatch("torsor action requires a degree-0 divisor")
     positives, negatives = [], []
-    for v in sorted(g.vertex_ids, key=id_key):
-        c = dd[v]
+    for v, c in dd.items():
         if c > 0:
             positives.extend([v] * c)
-        elif c < 0:
+        else:
             negatives.extend([v] * (-c))
     bound = max(1, len(g.vertices) * len(g.edge_ids))
     for p, q in zip(positives, negatives):
         steps = 0
         while True:
-            path = _oriented_path(u, p, q)
+            path, reach = _oriented_path(u, p, q)
             if path is not None:
                 break
-            reach = _reachable(u, p)
             cut = [
                 e
                 for e in g.edge_ids
@@ -533,7 +506,7 @@ def _effective_representatives(g, cls_divisor):
             yield from gen(idx + 1, remaining - c, acc + [c])
 
     for coeffs in gen(0, degree, []):
-        d = Divisor(g, dict(zip(verts, coeffs)))
+        d = Divisor._of(g, coeffs)
         if d == reduced:
             continue
         if linearly_equivalent(g, d, cls_divisor):

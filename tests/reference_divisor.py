@@ -1,13 +1,80 @@
 """The divisor layer as first written, kept as a test oracle: q-reduction by
 whole-set firing on Divisor objects, Picard enumeration by a breadth-first
 search over all moves p - q, and the theta divisor by shift-and-reduce.
-Results are plain q-reduced Divisors (class representatives at t(base))."""
+Results are plain q-reduced Divisors (class representatives at t(base)).
+`DictDivisor` is the Divisor class as first written, a vertex -> coefficient
+dict, kept as the oracle for the coefficient-tuple payload."""
 
 from collections import deque
 
 from rigidlift.divisor import Divisor
 from rigidlift.errors import EnumerationBoundExceeded, ValidationError
 from rigidlift.multigraph import id_key
+
+
+class DictDivisor:
+    """An integer-valued function on the vertices of a fixed graph."""
+
+    __slots__ = ("graph", "_coeffs", "_hash")
+
+    def __init__(self, graph, coeffs=None):
+        self.graph = graph
+        clean = {}
+        for v, c in (coeffs or {}).items():
+            if v not in graph.vertices:
+                raise ValidationError(f"vertex {v!r} not in graph")
+            if c:
+                clean[v] = int(c)
+        self._coeffs = clean
+        self._hash = hash((graph, tuple(sorted(clean.items(), key=lambda kv: id_key(kv[0])))))
+
+    def __getitem__(self, v):
+        return self._coeffs.get(v, 0)
+
+    def items(self):
+        return sorted(self._coeffs.items(), key=lambda kv: id_key(kv[0]))
+
+    @property
+    def degree(self):
+        return sum(self._coeffs.values())
+
+    @property
+    def is_effective(self):
+        return all(c >= 0 for c in self._coeffs.values())
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self._coeffs)
+        for v, c in other._coeffs.items():
+            out[v] = out.get(v, 0) + c
+        return DictDivisor(self.graph, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return DictDivisor(self.graph, {v: -c for v, c in self._coeffs.items()})
+
+    def __rmul__(self, k):
+        return DictDivisor(self.graph, {v: int(k) * c for v, c in self._coeffs.items()})
+
+    def _check(self, other):
+        if not isinstance(other, DictDivisor) or other.graph != self.graph:
+            raise ValidationError("divisors live on different graphs")
+
+    def __eq__(self, other):
+        if not isinstance(other, DictDivisor):
+            return NotImplemented
+        return self.graph == other.graph and self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        if not self._coeffs:
+            return "Divisor(0)"
+        terms = " ".join(f"{v}:{c}" for v, c in self.items())
+        return f"Divisor({terms})"
 
 
 def _fire_set(g, d, vertex_set, times=1):

@@ -24,7 +24,7 @@ from rigidlift.divisor import (
     vertex_divisor,
 )
 from rigidlift.divisor import _theta_cached
-from rigidlift.errors import EnumerationBoundExceeded, WrongDegree
+from rigidlift.errors import EnumerationBoundExceeded, ValidationError, WrongDegree
 from rigidlift.multigraph import build_graph, spanning_tree_count
 
 
@@ -66,6 +66,15 @@ class TestQReduce:
     def test_worked_example(self, K):
         d = Divisor(K, {"w2": 1, "w3": 3, "w4": -4})
         assert q_reduce(K, d, "w4") == Divisor(K, {"w1": 1, "w3": 1, "w4": -2})
+
+    def test_divisor_must_share_the_vertices(self, G, K):
+        d = Divisor(K, {"w2": 1, "w3": 3, "w4": -4})
+        with pytest.raises(ValidationError, match="not on the vertices"):
+            q_reduce(G, d, "v1")
+        with pytest.raises(ValidationError, match="not on the vertices"):
+            dhar_burn_order(G, Divisor(K), "v1")
+        rebased = K.with_base("r2")
+        assert q_reduce(rebased, d, "w4") == Divisor(rebased, {"w1": 1, "w3": 1, "w4": -2})
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

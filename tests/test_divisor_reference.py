@@ -1,5 +1,6 @@
-"""Differential tests: the superstable enumeration and the indexed q_reduce
-against the divisor layer as first written (tests/reference_divisor.py)."""
+"""Differential tests: the coefficient-tuple Divisor, the superstable
+enumeration and the indexed q_reduce against the divisor layer as first
+written (tests/reference_divisor.py)."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from helpers import catalogue, cycle_plus_chords
 
 from rigidlift import divisor as divisor_module
 from rigidlift.divisor import Divisor, dhar_burn_order, enumerate_picard, q_reduce, theta_divisor
-from rigidlift.errors import EnumerationBoundExceeded
+from rigidlift.errors import EnumerationBoundExceeded, ValidationError
 from rigidlift.multigraph import spanning_tree_count
 
 
@@ -24,6 +25,58 @@ def graphs(draw):
 
 def representatives(classes):
     return {c.representative for c in classes}
+
+
+def coefficient_dicts(g):
+    """Vertex -> coefficient dicts with zeros and omitted vertices."""
+    return st.dictionaries(st.sampled_from(g.vertex_ids), st.integers(-6, 6))
+
+
+def assert_same(d, old):
+    """d (a Divisor) reads exactly as old (a DictDivisor)."""
+    g = d.graph
+    assert d.items() == old.items()
+    assert (d.degree, d.is_effective, repr(d)) == (old.degree, old.is_effective, repr(old))
+    for v in g.vertex_ids + ("not-a-vertex", 10**9):
+        assert d[v] == old[v]
+
+
+def assert_canonical(d):
+    """d, however it was built, equals and hashes as its public rebuild."""
+    rebuilt = Divisor(d.graph, dict(d.items()))
+    assert d == rebuilt and hash(d) == hash(rebuilt)
+    assert_same(d, ref.DictDivisor(d.graph, dict(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_divisor_matches_dict_reference(g, data):
+    a, b = data.draw(coefficient_dicts(g)), data.draw(coefficient_dicts(g))
+    k = data.draw(st.integers(-3, 3))
+    da, db = Divisor(g, a), Divisor(g, b)
+    oa, ob = ref.DictDivisor(g, a), ref.DictDivisor(g, b)
+    assert_same(da, oa)
+    assert_same(da + db, oa + ob)
+    assert_same(da - db, oa - ob)
+    assert_same(-da, -oa)
+    assert_same(k * da, k * oa)
+    assert (da == db) == (oa == ob)
+    assert_canonical(da)
+    assert_canonical(da - db)
+    assert da + db - db == da and hash(da + db - db) == hash(da)
+    with pytest.raises(ValidationError):
+        Divisor(g, {**a, "not-a-vertex": 1})
+    with pytest.raises(ValidationError):
+        ref.DictDivisor(g, {**a, "not-a-vertex": 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_reduced_and_enumerated_divisors_are_canonical(g, data):
+    d = Divisor(g, data.draw(coefficient_dicts(g)))
+    assert_canonical(q_reduce(g, d, data.draw(st.sampled_from(g.vertex_ids))))
+    for c in enumerate_picard(g, data.draw(st.sampled_from((0, 1, g.genus - 1)))):
+        assert_canonical(c.representative)
 
 
 @settings(max_examples=300, deadline=None)
