@@ -15,6 +15,7 @@ from .errors import (
     ValidationError,
     WrongDegree,
 )
+from .multigraph import spanning_tree_count
 
 DEFAULT_MAX_CLASSES = 10**6
 
@@ -327,55 +328,130 @@ def abel_jacobi(g, points, base_edge=None):
     return DivisorClass(g, Divisor(g, coeffs))
 
 
+def _certify(core, s):
+    """One Dhar burn of the configuration s on V - q that always burns the
+    lowest-index burnable vertex next.  Returns None when some vertex never
+    burns (s is not superstable); otherwise the certificate
+    room[v] = (edges from v to vertices burnt before v) - 1 - s[v], which is
+    >= 0 off q.  The burn order orients each edge from its earlier end to
+    its later one: an acyclic orientation with unique source q and
+    s <= indeg - 1, so any s' <= s + room is superstable by the same order."""
+    nbrs, qi = core.nbrs, core.q
+    n = len(s)
+    counts = [0] * n
+    room = [0] * n
+    lit = [False] * n
+    lit[qi] = True
+    ready = [qi]
+    burnt = 0
+    while ready:
+        i = heapq.heappop(ready)
+        burnt += 1
+        room[i] = counts[i] - 1 - s[i]
+        for j, m in nbrs[i]:
+            counts[j] += m
+            if not lit[j] and counts[j] > s[j]:
+                lit[j] = True
+                heapq.heappush(ready, j)
+    return room if burnt == n else None
+
+
+def _superstables(core, max_size):
+    """Yield (s, |s|) for each superstable configuration s on V - q with
+    |s| <= max_size, as a list indexed like core (s[q] = 0; the caller must
+    not modify it).
+
+    Superstables form an order ideal, so a depth-first search reaches each
+    one once, from its canonical parent: s minus one chip on its last
+    non-zero vertex.  Each node carries its `_certify` room; a child s + e_i
+    with room[i] > 0 is superstable by the parent's burn order and inherits
+    that room less one at i, so only the other children are burnt.  A child
+    with s[i] + 1 >= deg(i) can never burn and is skipped outright."""
+    nbrs, qi = core.nbrs, core.q
+    n = len(nbrs)
+    others = [i for i in range(n) if i != qi]
+    degree = [sum(m for _, m in nbrs[i]) for i in range(n)]
+    zero = [0] * n
+    yield zero, 0
+    stack = [(zero, _certify(core, zero), 0, 0)] if max_size > 0 else []
+    while stack:
+        s, room, first, size = stack.pop()
+        size += 1
+        for p in range(first, len(others)):
+            i = others[p]
+            if s[i] + 1 >= degree[i]:
+                continue
+            child = s.copy()
+            child[i] += 1
+            if room[i] > 0:
+                child_room = room.copy()
+                child_room[i] -= 1
+            else:
+                child_room = _certify(core, child)
+                if child_room is None:
+                    continue
+            yield child, size
+            if size < max_size:
+                stack.append((child, child_room, p, size))
+
+
+def _class_of(g, qi, s, degree, size):
+    """The class whose representative reduced at q (index qi) is
+    s + (degree - size) q, for a superstable s of size |s| = size."""
+    rep = s.copy()
+    rep[qi] = degree - size
+    return DivisorClass._of_reduced(g, Divisor._of(g, rep))
+
+
 def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
     """All divisor classes of the given degree (finite; desk scale).
 
     With q = t(base edge), the q-reduced divisors of degree d are exactly
-    s + (d - |s|) q for the superstable configurations s on V - q, which form
-    an order ideal.  A depth-first search reaches each superstable once, from
-    its parent: s minus one chip on its last non-zero vertex.  Each child is
-    tested by one Dhar burn, so no q-reduction runs."""
+    s + (d - |s|) q for the superstable configurations s on V - q, and
+    |s| <= g for each of them.  They come from the certified superstable
+    search (`_superstables`), which runs about one Dhar burn per class and
+    no q-reduction.  Raises EnumerationBoundExceeded as soon as more than
+    max(max_classes, 1) classes are found."""
     core = _core(g, g.base_head)
-    n, qi = len(g.vertex_ids), core.q
-    others = [i for i in range(n) if i != qi]
-
-    def class_of(s, size):
-        rep = list(s)
-        rep[qi] = degree - size
-        return DivisorClass._of_reduced(g, Divisor._of(g, rep))
-
-    zero = (0,) * n
-    found = [class_of(zero, 0)]
-    stack = [(zero, 0, 0)]  # (superstable, first child position, |s|)
-    while stack:
-        s, first, size = stack.pop()
-        for p in range(first, len(others)):
-            child = list(s)
-            child[others[p]] += 1
-            if not all(_burn(core, child)[0]):
-                continue
-            found.append(class_of(child, size + 1))
-            if len(found) > max_classes:
-                raise EnumerationBoundExceeded(max_classes, len(found))
-            stack.append((child, p, size + 1))
+    bound = max(max_classes, 1)
+    found = []
+    for s, size in _superstables(core, g.genus):
+        found.append(_class_of(g, core.q, s, degree, size))
+        if len(found) > bound:
+            raise EnumerationBoundExceeded(max_classes, len(found))
     return frozenset(found)
 
 
 @lru_cache(maxsize=256)
 def _theta_cached(g, base_edge, max_classes):
+    """Θ at t0 = t(base_edge), with the class bound of enumerate_picard(g, 0).
+
+    At t0 = t(base of g) = q, a degree-0 class is s - |s| q for a superstable
+    s, and s + (g - 1 - |s|) q is also q-reduced, so c + (g - 1) t0 is
+    effective iff |s| <= g - 1: Θ is the certified search cut at size g - 1,
+    and the top level |s| = g is never visited.  It raises exactly when
+    |Pic^0| (the spanning-tree count) would make enumerate_picard raise,
+    with the same limit and reached.  At any other t0 each class of Pic^0 is
+    shifted by (g - 1) t0 and tested for effectiveness."""
     gen = g.genus
     t0 = g.with_base(base_edge).base_head
-    classes = enumerate_picard(g, 0, max_classes)
-    if t0 == g.base_head:
-        # The representative s - |s| t0 of c is t0-reduced, and so is
-        # s + (g - 1 - |s|) t0: c + (g-1) t0 is effective iff |s| <= g - 1.
-        return frozenset(c for c in classes if c.representative[t0] >= 1 - gen)
-    shift = Divisor(g, {t0: gen - 1})
-    return frozenset(c for c in classes if is_effective_class(g, c.representative + shift))
+    if t0 != g.base_head:
+        shift = Divisor(g, {t0: gen - 1})
+        classes = enumerate_picard(g, 0, max_classes)
+        return frozenset(c for c in classes if is_effective_class(g, c.representative + shift))
+    bound = max(max_classes, 1)
+    if spanning_tree_count(g) > bound:
+        raise EnumerationBoundExceeded(max_classes, bound + 1)
+    core = _core(g, t0)
+    return frozenset(_class_of(g, core.q, s, 0, size) for s, size in _superstables(core, gen - 1))
 
 
 def theta_divisor(g, base_edge=None, max_classes=DEFAULT_MAX_CLASSES):
-    """Degree-0 classes c with c + (g-1)t(base) effective (the theta divisor)."""
+    """Degree-0 classes c with c + (g-1)t(base) effective (the theta divisor),
+    base defaulting to g's own.  Cached per (graph, base, bound); at g's own
+    base it is the certified superstable search bounded at |s| <= g - 1.
+    Raises EnumerationBoundExceeded when |Pic^0| exceeds max_classes, as
+    enumerate_picard(g, 0, max_classes) would."""
     if g.genus < 1:
         raise GenusTooSmall("theta divisor needs genus >= 1")
     return _theta_cached(g, base_edge if base_edge is not None else g.base_edge, max_classes)

@@ -489,13 +489,13 @@ def _orient_with_indegrees(g, demand):
     return PartialOrientation(g, states)
 
 
-def _effective_representatives(g, cls_divisor):
-    """Effective divisors linearly equivalent to cls_divisor, in a
-    deterministic order, starting with the q-reduced representative."""
+def _effective_representatives(g, reduced):
+    """Effective divisors in the class whose representative reduced at
+    t(base) is `reduced`, in a deterministic order, starting with it; each
+    other candidate costs one q-reduction."""
     q0 = g.base_head
-    reduced = q_reduce(g, cls_divisor, q0)
     yield reduced
-    degree = cls_divisor.degree
+    degree = reduced.degree
     verts = g.vertex_ids
 
     def gen(idx, remaining, acc):
@@ -507,9 +507,7 @@ def _effective_representatives(g, cls_divisor):
 
     for coeffs in gen(0, degree, []):
         d = Divisor._of(g, coeffs)
-        if d == reduced:
-            continue
-        if linearly_equivalent(g, d, cls_divisor):
+        if d != reduced and q_reduce(g, d, q0) == reduced:
             yield d
 
 
@@ -521,7 +519,7 @@ def effectiveness_certificate(g, q):
     q0 = g.base_head
     reduced = q_reduce(g, q, q0)
     if reduced[q0] >= 0:
-        for b in _effective_representatives(g, q):
+        for b in _effective_representatives(g, reduced):
             w = _orient_with_indegrees(g, {v: b[v] + 1 for v in g.vertex_ids})
             if w is None:
                 continue

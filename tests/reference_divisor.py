@@ -184,11 +184,13 @@ def enumerate_picard(g, degree, max_classes):
 def theta_divisor(g, base_edge, max_classes):
     """Representatives of the degree-0 classes c with c + (g-1) t(base_edge)
     effective."""
+    return theta_among(g, base_edge, enumerate_picard(g, 0, max_classes))
+
+
+def theta_among(g, base_edge, reps):
+    """The representatives in reps (degree 0, reduced at t(base of g)) whose
+    class c has c + (g-1) t(base_edge) effective."""
     t0 = g.with_base(base_edge).base_head
     q0 = g.base_head
     shift = Divisor(g, {t0: g.genus - 1})
-    return frozenset(
-        rep
-        for rep in enumerate_picard(g, 0, max_classes)
-        if q_reduce(g, rep + shift, q0)[q0] >= 0
-    )
+    return frozenset(rep for rep in reps if q_reduce(g, rep + shift, q0)[q0] >= 0)

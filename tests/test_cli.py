@@ -351,6 +351,16 @@ class TestCliDivisor:
             "reached": 6,
         }
 
+    def test_theta_bound_is_the_size_of_pic0(self, capsys):
+        # K has |Pic^0| = 12 and |Theta| = 9: the bound counts Pic^0.
+        argv = ["--no-timings", "--max-classes", "11", "divisor", fixture_path("K.graph"), "theta"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert (out["error"]["limit"], out["error"]["reached"]) == (11, 12)
+        argv[2] = "12"
+        code, out = run(capsys, argv)
+        assert code == 0 and out["count"] == 9
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RIGIDLIFT_MAX_CLASSES", "3")
         code, out = run(

@@ -2,6 +2,8 @@
 enumeration and the indexed q_reduce against the divisor layer as first
 written (tests/reference_divisor.py)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from helpers import catalogue, cycle_plus_chords
 from rigidlift import divisor as divisor_module
 from rigidlift.divisor import Divisor, dhar_burn_order, enumerate_picard, q_reduce, theta_divisor
 from rigidlift.errors import EnumerationBoundExceeded, ValidationError
-from rigidlift.multigraph import spanning_tree_count
+from rigidlift.multigraph import build_graph, spanning_tree_count
 
 
 @st.composite
@@ -104,6 +106,16 @@ def test_theta_matches_reference(g, data):
     assert representatives(theta_divisor(g, base)) == ref.theta_divisor(g, base, 10**6)
 
 
+def bound_error(f, *args):
+    """(limit, reached) of the EnumerationBoundExceeded that f(*args) raises,
+    or None if it returns."""
+    try:
+        f(*args)
+    except EnumerationBoundExceeded as err:
+        return err.limit, err.reached
+    return None
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_bound_raises_exactly_when_reference_does(g, data):
@@ -117,15 +129,154 @@ def test_bound_raises_exactly_when_reference_does(g, data):
     else:
         assert len(ref.enumerate_picard(g, 0, bound)) == tau
         assert len(enumerate_picard(g, 0, bound)) == tau
+    assert bound_error(enumerate_picard, g, 0, bound) == bound_error(ref.enumerate_picard, g, 0, bound)
+    base = data.draw(st.sampled_from((g.base_edge,) + g.edge_ids))
+    expected = bound_error(ref.theta_divisor, g, base, bound)
+    assert (expected is not None) == (tau > bound)
+    assert bound_error(theta_divisor, g, base, bound) == expected
+
+
+@pytest.mark.parametrize("bound", [-1, 0, 1, 2])
+def test_tiny_bounds_raise_as_the_reference_does(bound):
+    # The zero class is not counted against the bound: every bound below 2
+    # raises at the second class found.
+    for g in (catalogue()[0], cycle_plus_chords(3, 1, 5)):
+        expected = bound_error(ref.enumerate_picard, g, 0, bound)
+        assert expected is not None
+        assert bound_error(enumerate_picard, g, 0, bound) == expected
+        theta_expected = bound_error(ref.theta_divisor, g, g.base_edge, bound)
+        assert bound_error(theta_divisor, g, g.base_edge, bound) == theta_expected
 
 
 def test_enumeration_and_theta_run_no_q_reduce(monkeypatch):
     g = cycle_plus_chords(6, 4, 11)
     expected = ref.theta_divisor(g, g.base_edge, 10**6)
 
-    def forbidden(*args):
-        raise AssertionError("q_reduce called")
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(divisor_module, "q_reduce", forbidden)
+        return call
+
+    monkeypatch.setattr(divisor_module, "q_reduce", forbidden("q_reduce"))
     assert len(enumerate_picard(g, 3)) == spanning_tree_count(g)
+    # Theta at the default base is its own search: no Pic^0 enumeration.
+    monkeypatch.setattr(divisor_module, "enumerate_picard", forbidden("enumerate_picard"))
+    divisor_module._theta_cached.cache_clear()
     assert representatives(theta_divisor(g)) == expected
+
+
+# -- a deterministic ladder beyond the hypothesis graphs ----------------------
+
+
+def wheel_triples(n):
+    """A hub joined to an n-cycle; the spoke s0 is the base."""
+    triples = [(f"s{i}", "hub", f"r{i}") for i in range(n)]
+    return triples + [(f"c{i}", f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
+
+
+def wheel(n):
+    return build_graph(wheel_triples(n), "s0")
+
+
+def thickened(g, copies):
+    """g with `copies` more edges parallel to its first edge."""
+    triples = [(e, *g.ends(e)) for e in g.edge_ids]
+    triples += [(f"p{k}", *g.ends(g.edge_ids[0])) for k in range(copies)]
+    return build_graph(triples, g.base_edge)
+
+
+LADDER = {
+    **{f"W{n}": wheel(n) for n in range(3, 9)},
+    **{f"cc{n}+{k}": cycle_plus_chords(n, k, 100 + n) for n, k in ((4, 1), (6, 2), (8, 3), (10, 3), (12, 3))},
+    "banana4": build_graph([(f"b{k}", "x", "y") for k in range(4)], "b0"),
+    **{f"cc{n}+2 x{k + 1}": thickened(cycle_plus_chords(n, 2, 200 + n), k) for n, k in ((4, 2), (6, 3), (8, 2))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_picard_and_theta_ladder_match_reference(name):
+    """Pic^d at degrees 0, 1, g - 1 and -2, and Theta at every base edge.
+
+    A class has exactly one representative reduced at q = t(base), and Pic^d
+    has spanning_tree_count(g) classes, so the enumeration is all of Pic^d
+    (as ref.enumerate_picard would list it) when it returns that many
+    distinct divisors of degree d that the reference q_reduce leaves fixed.
+    Theta is then the reference filter on the checked Pic^0, computed once
+    per base head."""
+    g = LADDER[name]
+    q0, tau = g.base_head, spanning_tree_count(g)
+    for degree in (0, 1, g.genus - 1, -2):
+        reps = representatives(enumerate_picard(g, degree))
+        assert len(reps) == tau
+        assert all(d.degree == degree and ref.q_reduce(g, d, q0) == d for d in reps)
+    pic0 = representatives(enumerate_picard(g, 0))
+    expected = {}
+    for e in g.edge_ids:
+        t0 = g.t(e)
+        if t0 not in expected:
+            expected[t0] = ref.theta_among(g, e, pic0)
+        assert representatives(theta_divisor(g, e)) == expected[t0]
+
+
+THETA_RUNGS = {
+    "cc5+5": (5, 5),
+    "cc6+4": (6, 4),
+    "W5": 5,
+    "cc6+5": (6, 5),
+    "cc7+5": (7, 5),
+    "W6": 6,
+}
+
+
+def theta_rung(shape, seed):
+    """A relabelled copy (seeded vertex names, edge ids and orientations) of
+    the wheel W_shape, or of the n-cycle with chords fixed by shape = (n,
+    chords); the base stays a spoke or a cycle edge."""
+    if isinstance(shape, int):
+        triples, base = wheel_triples(shape), "s0"
+    else:
+        n, chords = shape
+        chord_rng = random.Random(f"cycle-plus-chords-{n}-{chords}")
+        triples = [(f"c{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+        triples += [(f"h{k}", *(f"v{x}" for x in chord_rng.sample(range(n), 2))) for k in range(chords)]
+        base = "c0"
+    rng = random.Random(seed)
+    verts = sorted({v for _, a, b in triples for v in (a, b)})
+    names = [f"x{i}" for i in range(len(verts))]
+    rng.shuffle(names)
+    rename = dict(zip(verts, names))
+    ids = [f"f{i}" for i in range(len(triples))]
+    rng.shuffle(ids)
+    copy = []
+    for (e, a, b), new in zip(triples, ids):
+        a, b = rename[a], rename[b]
+        if e == base:
+            new_base = new
+        elif rng.random() < 0.5:
+            a, b = b, a
+        copy.append((new, a, b))
+    return build_graph(copy, new_base)
+
+
+@pytest.mark.parametrize("name", sorted(THETA_RUNGS))
+def test_search_burns_about_once_per_class(name, monkeypatch):
+    """At most 1.5 certificate burns per class of Pic^0, and Theta at the
+    default base burns no configuration of size g."""
+    burnt = []
+    certify = divisor_module._certify
+
+    def counting(core, s):
+        burnt.append(sum(s))
+        return certify(core, s)
+
+    monkeypatch.setattr(divisor_module, "_certify", counting)
+    for seed in range(10):
+        g = theta_rung(THETA_RUNGS[name], seed)
+        burnt.clear()
+        classes = enumerate_picard(g, 0)
+        assert len(burnt) <= 1.5 * len(classes)
+        burnt.clear()
+        divisor_module._theta_cached.cache_clear()
+        theta_divisor(g)
+        assert burnt and max(burnt) <= g.genus - 1

@@ -251,6 +251,39 @@ class TestEffectivenessCertificate:
                 else:
                     assert isinstance(w, AcyclicWitness)
 
+    def test_sourceless_search_reduces_each_candidate_once(self, monkeypatch):
+        """One q-reduction for the class, then one per candidate tried."""
+        from helpers import cycle_plus_chords
+
+        from rigidlift import divisor as divisor_module
+        from rigidlift import orientation as orientation_module
+        from rigidlift.divisor import enumerate_picard
+
+        inputs = []
+
+        def counting(g, d, q):
+            inputs.append(d)
+            return q_reduce(g, d, q)
+
+        monkeypatch.setattr(orientation_module, "q_reduce", counting)
+        monkeypatch.setattr(divisor_module, "q_reduce", counting)
+        worst = 0
+        for seed in range(30):
+            g = cycle_plus_chords(7, 3, seed)
+            for c in enumerate_picard(g, g.genus - 1):
+                if not c.is_effective:
+                    continue
+                inputs.clear()
+                w = effectiveness_certificate(g, c.representative)
+                assert isinstance(w, SourcelessWitness)
+                assert inputs[0] == c.representative
+                candidates = inputs[1:]
+                assert len(set(candidates)) == len(candidates)
+                assert c.representative not in candidates
+                assert all(d.is_effective and d.degree == g.genus - 1 for d in candidates)
+                worst = max(worst, len(inputs))
+        assert worst > 1
+
 
 class TestNonspecialExtension:
     def test_effective_input_rejected(self, K):
