@@ -39,7 +39,6 @@ from .multigraph import (
 from .orientation import (
     EdgeState,
     PartialOrientation,
-    base_orientation,
     chern_class,
     extend_to_nonspecial,
     lift_divisor_to_orientation,
@@ -54,10 +53,7 @@ def require_orcyc_object(g):
         raise NotTwoEdgeConnected(f"{g!r} is not 2-edge-connected")
 
 
-def validate_cyclic_bijection(g, h, edge_map, require_base=True):
-    """True iff edge_map carries the cycle space of g onto that of h: the
-    genera agree and the image of each fundamental cycle of g meets every
-    vertex of h in an even number of edge ends."""
+def _require_bijection(g, h, edge_map, require_base):
     if set(edge_map) != set(g.edge_ids) or set(edge_map.values()) != set(h.edge_ids):
         raise NotBijection("edge_map is not a bijection between the edge sets")
     if len(set(edge_map.values())) != len(edge_map):
@@ -67,6 +63,13 @@ def validate_cyclic_bijection(g, h, edge_map, require_base=True):
             f"base {g.base_edge!r} maps to {edge_map[g.base_edge]!r}, "
             f"not {h.base_edge!r}"
         )
+
+
+def validate_cyclic_bijection(g, h, edge_map, require_base=True):
+    """True iff edge_map carries the cycle space of g onto that of h: the
+    genera agree and the image of each fundamental cycle of g meets every
+    vertex of h in an even number of edge ends."""
+    _require_bijection(g, h, edge_map, require_base)
     if g.genus != h.genus:
         return False
     for cyc in cycle_basis(g, None).cycles:
@@ -103,6 +106,25 @@ class OrCycMorphism:
         return self.sign_dict[e]
 
     @cached_property
+    def _tree(self):
+        """The breadth-first search tree of the source from t0 = t(base) as
+        (u, e, w) steps in visiting order: e joins the reached vertex u to
+        the new vertex w."""
+        g = self.source
+        steps = []
+        seen = {g.base_head}
+        queue = deque([g.base_head])
+        while queue:
+            u = queue.popleft()
+            for e in g.incident(u):
+                w = g.other_end(e, u)
+                if w not in seen:
+                    seen.add(w)
+                    steps.append((u, e, w))
+                    queue.append(w)
+        return steps
+
+    @cached_property
     def push(self):
         """phi_* on divisors: a function d -> D on the target with phi_*[d] = [D].
 
@@ -116,17 +138,10 @@ class OrCycMorphism:
         emap, sgn = self.edge_dict, self.sign_dict
         index = h.vertex_index
         img = {g.base_head: ()}
-        queue = deque([g.base_head])
-        while queue:
-            u = queue.popleft()
-            for e in g.incident(u):
-                w = g.other_end(e, u)
-                if w in img:
-                    continue
-                c = sgn[e] if g.t(e) == w else -sgn[e]
-                r = emap[e]
-                img[w] = img[u] + ((index[h.t(r)], c), (index[h.o(r)], -c))
-                queue.append(w)
+        for u, e, w in self._tree:
+            c = sgn[e] if g.t(e) == w else -sgn[e]
+            r = emap[e]
+            img[w] = img[u] + ((index[h.t(r)], c), (index[h.o(r)], -c))
         chains = [img[v] for v in g.vertex_ids]
         t0 = index[h.base_head]
 
@@ -143,15 +158,28 @@ class OrCycMorphism:
 
     @cached_property
     def rigidity(self):
-        """E_phi; see `rigidity_divisor`."""
-        return diagram_defect(self, base_orientation(self.source))
+        """E_phi = phi_*[c(O_G)] - [c(phi_O(O_G))] (see `rigidity_divisor`)
+        from two coefficient vectors: O_G points each edge e at t(e), and
+        phi_O(O_G) points phi(e) at t(phi e) if sgn(e) = +1, else at o(phi e).
+        `diagram_defect` at `base_orientation` gives the same class."""
+        g, h = self.source, self.target
+        emap, sgn = self.edge_dict, self.sign_dict
+        source_index, target_index = g.vertex_index, h.vertex_index
+        chern = [-1] * len(source_index)
+        minus_image = [1] * len(target_index)
+        for e in g.edge_ids:
+            chern[source_index[g.t(e)]] += 1
+            r = emap[e]
+            minus_image[target_index[h.t(r) if sgn[e] == 1 else h.o(r)]] -= 1
+        pushed = self.push(Divisor._of(g, chern)).vector
+        return DivisorClass(h, Divisor._of(h, [a + b for a, b in zip(pushed, minus_image)]))
 
     @cached_property
     def vertex_image(self):
         """Source vertex p -> the target vertex r with phi_*[p] = [r], or None.
 
-        A breadth-first walk from t0, whose image is t0'.  Across an edge
-        u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
+        A walk down the search tree from t0, whose image is t0'.  Across an
+        edge u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
         c [t(r) - o(r)], so if u goes to the end of r that this step leaves,
         w goes to the other end.  Otherwise push(w) is q-reduced once.  In a
         2-edge-connected graph every component of H - y meets y in at least
@@ -161,31 +189,26 @@ class OrCycMorphism:
         g, h = self.source, self.target
         emap, sgn = self.edge_dict, self.sign_dict
         image = {g.base_head: h.base_head}
-        queue = deque([g.base_head])
-        while queue:
-            u = queue.popleft()
-            for e in g.incident(u):
-                w = g.other_end(e, u)
-                if w in image:
-                    continue
-                r = emap[e]
-                forward = (g.t(e) == w) == (sgn[e] == 1)
-                left, entered = (h.o(r), h.t(r)) if forward else (h.t(r), h.o(r))
-                if image[u] == left:
-                    image[w] = entered
-                else:
-                    reduced = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
-                    chips = reduced.items()
-                    image[w] = chips[0][0] if len(chips) == 1 and chips[0][1] == 1 else None
-                queue.append(w)
+        for u, e, w in self._tree:
+            r = emap[e]
+            forward = (g.t(e) == w) == (sgn[e] == 1)
+            left, entered = (h.o(r), h.t(r)) if forward else (h.t(r), h.o(r))
+            if image[u] == left:
+                image[w] = entered
+            else:
+                reduced = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
+                chips = reduced.items()
+                image[w] = chips[0][0] if len(chips) == 1 and chips[0][1] == 1 else None
         return {p: image[p] for p in g.vertex_ids}
 
     def __repr__(self):
         return f"OrCycMorphism({self.source!r} -> {self.target!r})"
 
 
-def _freeze_map(d):
-    return tuple(sorted(d.items(), key=lambda kv: id_key(kv[0])))
+def _freeze_map(d, keys):
+    """d as sorted pairs; keys are its keys in id order (edge_ids or
+    vertex_ids)."""
+    return tuple((k, d[k]) for k in keys)
 
 
 def _traverse_edge_subset_cycle(h, edge_set):
@@ -203,12 +226,16 @@ def _traverse_edge_subset_cycle(h, edge_set):
         )
     start_edge = min(edge_set, key=id_key)
     signs = {start_edge: 1}
-    current = h.t(start_edge)
+    stop, current = h.ends(start_edge)
     prev_edge = start_edge
-    while current != h.o(start_edge):
-        nxt = next(e for e in incid[current] if e != prev_edge)
-        signs[nxt] = 1 if h.o(nxt) == current else -1
-        current = h.other_end(nxt, current)
+    while current != stop:
+        a, b = incid[current]
+        nxt = b if a == prev_edge else a
+        o, t = h.ends(nxt)
+        if o == current:
+            signs[nxt], current = 1, t
+        else:
+            signs[nxt], current = -1, o
         prev_edge = nxt
     if len(signs) != len(edge_set):
         raise InvalidCyclicBijection("image cycle does not close up")
@@ -254,12 +281,18 @@ def compute_signs(g, h, edge_map, seed=None):
 
 
 def make_morphism(g, h, edge_map):
+    """The morphism of a base-preserving cyclic bijection, with its signs.
+    `compute_signs` traverses the image of each fundamental cycle as a
+    simple cycle, so it raises InvalidCyclicBijection wherever the parity
+    test of `validate_cyclic_bijection` fails; that test is not repeated."""
     require_orcyc_object(g)
     require_orcyc_object(h)
-    if not validate_cyclic_bijection(g, h, edge_map):
+    _require_bijection(g, h, edge_map, True)
+    if g.genus != h.genus:
         raise InvalidCyclicBijection("edge_map does not preserve simple cycles")
     signs = compute_signs(g, h, edge_map)
-    return OrCycMorphism(g, h, _freeze_map(edge_map), _freeze_map(signs))
+    keys = g.edge_ids
+    return OrCycMorphism(g, h, _freeze_map(edge_map, keys), _freeze_map(signs, keys))
 
 
 def identity_morphism(g):
@@ -274,14 +307,16 @@ def compose(m2, m1):
     sgn1, sgn2 = m1.sign_dict, m2.sign_dict
     emap = {e: emap2[emap1[e]] for e in emap1}
     signs = {e: sgn2[emap1[e]] * sgn1[e] for e in emap1}
-    return OrCycMorphism(m1.source, m2.target, _freeze_map(emap), _freeze_map(signs))
+    keys = m1.source.edge_ids
+    return OrCycMorphism(m1.source, m2.target, _freeze_map(emap, keys), _freeze_map(signs, keys))
 
 
 def inverse_morphism(m):
     forward = m.edge_dict
     emap = {t: s for s, t in forward.items()}
     signs = {forward[s]: sg for s, sg in m.signs}
-    return OrCycMorphism(m.target, m.source, _freeze_map(emap), _freeze_map(signs))
+    keys = m.target.edge_ids
+    return OrCycMorphism(m.target, m.source, _freeze_map(emap, keys), _freeze_map(signs, keys))
 
 
 # -- pushforwards ------------------------------------------------------------
@@ -412,7 +447,12 @@ def lift_to_graph_isomorphism(m):
     for p, r in vertex_map.items():
         if r is None:
             raise InternalError(f"no target vertex has the class phi_*[{p!r}]")
-    block_of = {r: block for block in series_classes(h) for r in block}
+    # Series classes are a matroid invariant, so phi carries those of the
+    # source onto those of the target.
+    block_of = {}
+    for block in series_classes(g):
+        image = tuple(emap[e] for e in block)
+        block_of.update(dict.fromkeys(image, image))
     assigned = {}
     for e in g.edge_ids:
         ends = frozenset(vertex_map[p] for p in g.ends(e))
@@ -432,12 +472,18 @@ def lift_to_graph_isomorphism(m):
     return psi, vertex_map
 
 
+def _is_onto(mapping, codomain):
+    """Whether the values of mapping are the set codomain, each once."""
+    images = set(mapping.values())
+    return len(images) == len(mapping) and images == codomain
+
+
 def _verify_isomorphism(g, h, edge_map, vertex_map):
-    if sorted(vertex_map, key=id_key) != list(g.vertex_ids):
+    if vertex_map.keys() != g.vertices:
         raise InternalError("vertex map does not cover the source")
-    if sorted(vertex_map.values(), key=id_key) != list(h.vertex_ids):
+    if not _is_onto(vertex_map, h.vertices):
         raise InternalError("vertex map is not a bijection")
-    if sorted(edge_map.values(), key=id_key) != list(h.edge_ids):
+    if not _is_onto(edge_map, set(h.edge_ids)):
         raise InternalError("edge map is not a bijection")
     for e in g.edge_ids:
         a, b = g.ends(e)
@@ -485,8 +531,8 @@ def lift_matroid_isomorphism(g, h, edge_map):
             psi, vmap = lift_to_graph_isomorphism(morphism)
             final = {e: psi[composed[e]] for e in g2.edge_ids}
             return MatroidLift(
-                _freeze_map(final),
-                _freeze_map(vmap),
+                _freeze_map(final, g2.edge_ids),
+                _freeze_map(vmap, g2.vertex_ids),
                 base,
                 wi,
                 tuple(tried),

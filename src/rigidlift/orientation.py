@@ -8,7 +8,7 @@ import enum
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (
     BiorientedPresent,
@@ -495,17 +495,12 @@ def _effective_representatives(g, reduced):
     other candidate costs one q-reduction."""
     q0 = g.base_head
     yield reduced
-    degree = reduced.degree
-    verts = g.vertex_ids
-
-    def gen(idx, remaining, acc):
-        if idx == len(verts) - 1:
-            yield acc + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from gen(idx + 1, remaining - c, acc + [c])
-
-    for coeffs in gen(0, degree, []):
+    slots = reduced.degree + len(g.vertex_ids) - 1
+    # Stars and bars: n - 1 bars among `slots` places cut the degree into n
+    # parts, and bar positions in lexicographic order give the parts in
+    # lexicographic order.
+    for bars in combinations(range(slots), len(g.vertex_ids) - 1):
+        coeffs = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
         d = Divisor._of(g, coeffs)
         if d != reduced and q_reduce(g, d, q0) == reduced:
             yield d

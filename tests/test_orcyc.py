@@ -216,6 +216,13 @@ class TestRigidity:
         assert not theta_preserved(jk_morphism)
         assert not s1_image_preserved(jk_morphism)
 
+    def test_package_exports_the_four_predicates(self):
+        import rigidlift
+        from rigidlift import orcyc
+
+        for name in ("is_rigid", "diagram_defect", "theta_preserved", "s1_image_preserved"):
+            assert getattr(rigidlift, name) is getattr(orcyc, name)
+
     def test_genus_requirement(self, four_cycle):
         m = identity_morphism(four_cycle)
         with pytest.raises(GenusTooSmall):

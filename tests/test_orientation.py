@@ -19,12 +19,14 @@ from rigidlift.errors import (
     InvalidMove,
     QIsEffective,
 )
+from rigidlift.multigraph import build_graph
 from rigidlift.orientation import (
     AcyclicWitness,
     EdgeState,
     NotPartiallyOrientable,
     PartialOrientation,
     SourcelessWitness,
+    _effective_representatives,
     apply_move,
     base_orientation,
     chern_class,
@@ -283,6 +285,44 @@ class TestEffectivenessCertificate:
                 assert all(d.is_effective and d.degree == g.genus - 1 for d in candidates)
                 worst = max(worst, len(inputs))
         assert worst > 1
+
+    def test_representatives_need_no_recursion(self):
+        n = 1200
+        g = build_graph([(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)], "e0")
+        zero = Divisor(g)
+        assert list(_effective_representatives(g, zero)) == [zero]
+
+    def test_representatives_in_the_order_of_the_recursive_generator(self):
+        from helpers import catalogue
+
+        longest = 0
+        for g in catalogue():
+            for deg in range(g.genus):
+                reduced = q_reduce(g, vertex_divisor(g, g.base_tail, deg), g.base_head)
+                candidates = list(_effective_representatives(g, reduced))
+                assert candidates == list(_recursive_representatives(g, reduced))
+                longest = max(longest, len(candidates))
+        assert longest > 2
+
+
+def _recursive_representatives(g, reduced):
+    """_effective_representatives as first written: compositions of the
+    degree by a recursive generator, one level per vertex."""
+    q0 = g.base_head
+    yield reduced
+    verts = g.vertex_ids
+
+    def gen(idx, remaining, acc):
+        if idx == len(verts) - 1:
+            yield acc + [remaining]
+            return
+        for c in range(remaining + 1):
+            yield from gen(idx + 1, remaining - c, acc + [c])
+
+    for coeffs in gen(0, reduced.degree, []):
+        d = Divisor(g, dict(zip(verts, coeffs)))
+        if d != reduced and q_reduce(g, d, q0) == reduced:
+            yield d
 
 
 class TestNonspecialExtension:

@@ -22,7 +22,13 @@ from helpers import (
 )
 
 from rigidlift.divisor import q_reduce, vertex_divisor
-from rigidlift.errors import InternalError, NoCommonCycle, NotTwoEdgeConnected, RigidliftError
+from rigidlift.errors import (
+    InternalError,
+    InvalidCyclicBijection,
+    NoCommonCycle,
+    NotTwoEdgeConnected,
+    RigidliftError,
+)
 from rigidlift.multigraph import (
     biconnectivity,
     build_graph,
@@ -31,12 +37,16 @@ from rigidlift.multigraph import (
     fundamental_cycles,
     series_classes,
 )
+from rigidlift.orientation import PartialOrientation, base_orientation
 from rigidlift.orcyc import (
+    compose,
     compute_signs,
+    diagram_defect,
     is_rigid,
     lift_to_graph_isomorphism,
     make_morphism,
     s1_image_preserved,
+    validate_cyclic_bijection,
 )
 
 
@@ -166,14 +176,16 @@ def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
     structure = sys.modules["rigidlift.multigraph"]
     monkeypatch.setattr(structure, "cycle_through_edges", forbidden)
     monkeypatch.setattr(structure, "_max_flow", forbidden)
+    # E_phi is computed from coefficient vectors, with no orientation object.
+    monkeypatch.setattr(PartialOrientation, "__init__", forbidden)
     cycle_basis.cache_clear()
     m = make_morphism(g, h, emap)
     assert is_rigid(m)
     psi, vertex_map = lift_to_graph_isomorphism(m)
     assert len(psi) == len(h.edge_ids) and len(vertex_map) == len(g.vertices)
-    # One fundamental-cycle pass per graph: g for the validation and the
-    # signs, h for the series classes.
-    assert cycle_basis.cache_info().misses == 2
+    # One fundamental-cycle pass, on g: the signs check the cycle images, and
+    # the series classes of h are the images of those of g.
+    assert cycle_basis.cache_info().misses == 1
 
 
 @lru_cache(maxsize=None)
@@ -281,3 +293,76 @@ def test_single_chip_is_reduced_at_every_vertex():
             for y in g.vertex_ids:
                 chip = vertex_divisor(g, y)
                 assert q_reduce(g, chip, q) == chip
+
+
+@lru_cache(maxsize=None)
+def _lift_rung_morphisms():
+    """Relabelled copies of cycle-plus-chords graphs of 15-17 vertices, the
+    shapes of the lift benchmark, alone and after a series transposition."""
+    out = []
+    for n, chords in ((15, 8), (16, 7), (16, 8), (16, 9), (17, 8)):
+        for seed in range(4):
+            g = cycle_plus_chords(n, chords, seed)
+            h, emap = relabelled(g, random.Random(seed))
+            m = make_morphism(g, h, emap)
+            out.append(m)
+            out.extend(compose(m, t) for t in series_transposition_morphisms(g, limit=2))
+    return tuple(out)
+
+
+def test_rigidity_is_the_diagram_defect_of_the_base_orientation():
+    kinds = Counter()
+    for m in _based_morphisms() + _lift_rung_morphisms():
+        defect = diagram_defect(m, base_orientation(m.source))
+        assert m.rigidity == defect
+        assert is_rigid(m) == defect.is_zero
+        kinds[defect.is_zero] += 1
+    assert kinds[True] > 1000 and kinds[False] > 500
+
+
+def test_series_classes_are_carried_onto_the_target():
+    for m in _based_morphisms() + _lift_rung_morphisms():
+        emap = m.edge_dict
+        image = {frozenset(emap[e] for e in block) for block in series_classes(m.source)}
+        assert image == {frozenset(block) for block in series_classes(m.target)}
+
+
+def _edge_maps(rng, count):
+    """Base-preserving edge bijections between equal-genus catalogue graphs:
+    uniform ones between graphs of equal size at random bases, and the maps
+    of valid morphisms with the images of two non-base edges swapped."""
+    by_size = {}
+    for g in catalogue():
+        by_size.setdefault((len(g.vertices), len(g.edge_ids)), []).append(g)
+    morphisms = _based_morphisms()
+    for _ in range(count):
+        if rng.random() < 0.5:
+            g = rng.choice(catalogue())
+            h = rng.choice(by_size[len(g.vertices), len(g.edge_ids)])
+            g = g.with_base(rng.choice(g.edge_ids))
+            h = h.with_base(rng.choice(h.edge_ids))
+            images = [r for r in h.edge_ids if r != h.base_edge]
+            rng.shuffle(images)
+            emap = dict(zip([e for e in g.edge_ids if e != g.base_edge], images))
+            emap[g.base_edge] = h.base_edge
+        else:
+            m = rng.choice(morphisms)
+            g, h, emap = m.source, m.target, dict(m.edge_dict)
+            a, b = rng.sample([e for e in g.edge_ids if e != g.base_edge], 2)
+            emap[a], emap[b] = emap[b], emap[a]
+        yield g, h, emap
+
+
+def test_make_morphism_rejects_exactly_the_maps_that_break_cycles():
+    """make_morphism leaves the parity test to the sign walk; any error
+    other than InvalidCyclicBijection propagates and fails the test."""
+    outcomes = Counter()
+    for g, h, emap in _edge_maps(random.Random(11), 3000):
+        valid = validate_cyclic_bijection(g, h, emap)
+        try:
+            make_morphism(g, h, emap)
+            outcomes[valid, "morphism"] += 1
+        except InvalidCyclicBijection:
+            outcomes[valid, InvalidCyclicBijection] += 1
+    assert set(outcomes) == {(True, "morphism"), (False, InvalidCyclicBijection)}
+    assert min(outcomes.values()) > 300
