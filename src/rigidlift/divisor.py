@@ -431,19 +431,24 @@ def _theta_cached(g, base_edge, max_classes):
     effective iff |s| <= g - 1: Θ is the certified search cut at size g - 1,
     and the top level |s| = g is never visited.  It raises exactly when
     |Pic^0| (the spanning-tree count) would make enumerate_picard raise,
-    with the same limit and reached.  At any other t0 each class of Pic^0 is
-    shifted by (g - 1) t0 and tested for effectiveness."""
-    gen = g.genus
+    with the same limit and reached.  At any other t0 `in_theta` filters Pic^0."""
     t0 = g.with_base(base_edge).base_head
     if t0 != g.base_head:
-        shift = Divisor(g, {t0: gen - 1})
-        classes = enumerate_picard(g, 0, max_classes)
-        return frozenset(c for c in classes if is_effective_class(g, c.representative + shift))
+        return frozenset(c for c in enumerate_picard(g, 0, max_classes) if in_theta(g, c, base_edge))
     bound = max(max_classes, 1)
     if spanning_tree_count(g) > bound:
         raise EnumerationBoundExceeded(max_classes, bound + 1)
     core = _core(g, t0)
-    return frozenset(_class_of(g, core.q, s, 0, size) for s, size in _superstables(core, gen - 1))
+    return frozenset(_class_of(g, core.q, s, 0, size) for s, size in _superstables(core, g.genus - 1))
+
+
+def in_theta(g, cls, base_edge=None):
+    """Whether the class cls on g lies in Θ at t0 = t(base_edge), by default
+    t(base of g): deg(cls) = 0 and cls + (g - 1) t0 is effective.  One
+    q-reduction, none at t(base of g), where the representative is reduced."""
+    t0 = g.t(base_edge) if base_edge is not None else g.base_head
+    d = cls.representative + vertex_divisor(g, t0, g.genus - 1)
+    return cls.degree == 0 and (d.is_effective if t0 == g.base_head else is_effective_class(g, d))
 
 
 def theta_divisor(g, base_edge=None, max_classes=DEFAULT_MAX_CLASSES):

@@ -25,6 +25,7 @@ from .divisor import (
     DEFAULT_MAX_CLASSES,
     Divisor,
     DivisorClass,
+    in_theta,
     is_effective_class,
     theta_divisor,
     vertex_divisor,
@@ -41,7 +42,6 @@ from .orientation import (
     PartialOrientation,
     chern_class,
     extend_to_nonspecial,
-    lift_divisor_to_orientation,
 )
 
 
@@ -395,35 +395,29 @@ def s1_image_preserved(m):
 
 
 def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
-    """A theta element of the source whose image misses the target theta."""
-    _require_genus(m)
+    """(s, phi_*s), s in Θ of the source and phi_*s not in Θ of the target.
+    For the first target vertex v with q = E_phi + v not effective that
+    works, s = phi^-1_*[q + T] - (g - 1) t0 (T from `extend_to_nonspecial`):
+    the defect phi_*[c(U)] - [c(phi_O U)] is E_phi for every full U.  Tests
+    are by `in_theta`; Θ is enumerated, under max_classes, only as a fallback."""
     if is_rigid(m):
         raise MorphismIsRigid("morphism is rigid; no witness exists")
     g, h = m.source, m.target
-    gen = g.genus
-    theta_g = theta_divisor(g, max_classes=max_classes)
-    theta_h = theta_divisor(h, max_classes=max_classes)
-    e_rep = rigidity_divisor(m).representative
+    shift = vertex_divisor(g, g.base_head, g.genus - 1)
     inv = inverse_morphism(m)
     for v in sorted(h.vertex_ids, key=id_key):
-        q = e_rep + vertex_divisor(h, v)
+        q = m.rigidity.representative + vertex_divisor(h, v)
         if is_effective_class(h, q):
             continue
-        t = extend_to_nonspecial(h, q)
-        b = vertex_divisor(h, v) + t  # effective, degree genus - 1
-        w_orient = lift_divisor_to_orientation(h, b)
-        if not isinstance(w_orient, PartialOrientation):
-            continue
-        u = pushforward_orientation(inv, w_orient)
-        s_div = chern_class(u) - Divisor(g, {g.base_head: gen - 1})
-        s = DivisorClass(g, s_div)
-        image = DivisorClass(h, m.push(s.representative))
-        if s in theta_g and image not in theta_h:
+        s = DivisorClass(g, inv.push(q + extend_to_nonspecial(h, q)) - shift)
+        image = pushforward_class(m, s)
+        if in_theta(g, s) and not in_theta(h, image):
             return s, image
     # Fallback: direct search over the source theta divisor.
+    theta_g = theta_divisor(g, max_classes=max_classes)
     for s in sorted(theta_g, key=lambda c: tuple(c.representative.items())):
-        image = DivisorClass(h, m.push(s.representative))
-        if image not in theta_h:
+        image = pushforward_class(m, s)
+        if not in_theta(h, image):
             return s, image
     raise InternalError("non-rigid morphism but theta image matches")
 

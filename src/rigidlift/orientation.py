@@ -22,7 +22,6 @@ from .errors import (
 from .divisor import (
     Divisor,
     all_vertices_divisor,
-    canonical_divisor,
     dhar_burn_order,
     is_effective_class,
     linearly_equivalent,
@@ -540,12 +539,11 @@ def complete_acyclically(g, u):
 
 
 def extend_to_nonspecial(g, q):
-    """An effective T with q + T nonspecial (degree lands at genus - 1)."""
+    """Effective T with q + T ~ c(U) nonspecial, U the acyclic certificate's full orientation."""
     if is_effective_class(g, q):
         raise QIsEffective("input class is effective")
     witness = effectiveness_certificate(g, q)
-    full = complete_acyclically(g, witness.orientation)
-    t = chern_class(full) - witness.dominated_divisor
+    t = chern_class(witness.orientation) - witness.dominated_divisor
     if not t.is_effective:
         raise InternalError("extension divisor is not effective")
     return t

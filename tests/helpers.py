@@ -5,6 +5,7 @@ import random
 from functools import lru_cache
 
 from rigidlift.multigraph import (
+    Arch,
     build_graph,
     connectivity_profile,
     find_arches,
@@ -102,6 +103,26 @@ def cycle_plus_chords(n, chords, seed):
             a, b = b, a
         triples.append((f"c{k}", f"y{a}", f"y{b}"))
     return build_graph(triples, rng.choice(triples)[0])
+
+
+def two_sum_whitney_flip(n, seed):
+    """The Whitney flip of an 8-vertex chorded cycle glued at two opposite
+    vertices into an (n - 6)-vertex one, each with chords on half as many
+    vertex pairs as it has vertices: an n-vertex graph of genus n/2 + 4 or
+    so.  The flip is built from that 2-separation directly, with no arch
+    search; the base edge lies in the large half, which stays."""
+    big = n - 6
+    halves = (cycle_plus_chords(big, big // 2, seed), cycle_plus_chords(8, 4, seed + 1))
+    tips = {"Ry0": "Ly0", "Ry4": f"Ly{big // 2}"}
+    triples = []
+    for tag, half in zip("LR", halves):
+        for e in half.edge_ids:
+            o, t = (f"{tag}{v}" for v in half.ends(e))
+            triples.append((f"{tag}{e}", tips.get(o, o), tips.get(t, t)))
+    g = build_graph(triples, f"L{halves[0].base_edge}")
+    moved = frozenset(e for e, _, _ in triples if e.startswith("R"))
+    arch = Arch(moved, tuple(tips.values()), frozenset(g.edge_ids) - moved)
+    return whitney_move(g, arch)[1]
 
 
 def series_transposition_morphisms(g, limit=None):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import two_sum_whitney_flip
+
 import rigidlift
 from rigidlift import cli
 from rigidlift.cli import main
@@ -20,6 +22,8 @@ from rigidlift.graphio import (
     parse_graph,
     parse_orientation,
 )
+from rigidlift.multigraph import build_graph
+from rigidlift.orcyc import nonrigidity_witness
 from rigidlift.orientation import EdgeState, base_orientation
 
 
@@ -199,6 +203,56 @@ class TestCliRigidity:
             ],
         )
         assert code == 1
+
+
+def write_morphism_files(tmp_path, g, h, edge_map):
+    """g and h as graph files next to a morphism file that names them."""
+    for name, graph in (("source.graph", g), ("target.graph", h)):
+        lines = [f"edge {e} {graph.o(e)} {graph.t(e)}\n" for e in graph.edge_ids]
+        (tmp_path / name).write_text("".join(lines) + f"base {graph.base_edge}\n")
+    path = tmp_path / "m.morphism.json"
+    path.write_text(json.dumps({"source": "source.graph", "target": "target.graph", "edge_map": edge_map}))
+    return str(path)
+
+
+class TestCliWitness:
+    JK_WITNESS = {
+        "theta_element": {"degree": 0, "representative": "div v1:1 v2:-2 v3:1"},
+        "image": {"degree": 0, "representative": "div w1:2 w2:-3 w4:1"},
+    }
+
+    def test_class_bound_leaves_the_jk_witness_alone(self, capsys):
+        # The witness enumerates Θ only in its fallback, which JK never
+        # reaches, so a bound of one class does not stop it.
+        for bound in ([], ["--max-classes", "1"]):
+            argv = ["--no-timings", *bound, "rigidity", fixture_path("JK.morphism.json")]
+            code, out = run(capsys, argv)
+            assert code == 0
+            assert out["witness"] == self.JK_WITNESS
+
+    def test_64_vertex_witness_at_the_default_bound(self, capsys, tmp_path):
+        m = two_sum_whitney_flip(64, 0)
+        path = write_morphism_files(tmp_path, m.source, m.target, m.edge_dict)
+        code, out = run(capsys, ["--no-timings", "rigidity", path])
+        assert code == 0 and out["is_rigid"] is False
+        s, image = nonrigidity_witness(m)
+        assert out["witness"]["theta_element"]["representative"] == format_divisor(s.representative)
+        assert out["witness"]["image"]["representative"] == format_divisor(image.representative)
+
+    def test_cut_vertex_is_malformed_input(self, capsys, tmp_path):
+        # Two triangles sharing vertex a: 2-edge-connected, not 2-connected.
+        bowtie = build_graph(
+            [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+             ("e4", "a", "d"), ("e5", "d", "e"), ("e6", "e", "a")],
+            "e1",
+        )
+        path = write_morphism_files(tmp_path, bowtie, bowtie, {e: e for e in bowtie.edge_ids})
+        code = main(["--no-timings", "rigidity", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ValidationError" and "not 2-connected" in error["message"]
+        assert "Traceback" not in captured.err
 
 
 class TestCliLiftMatroid:

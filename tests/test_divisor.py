@@ -16,6 +16,7 @@ from rigidlift.divisor import (
     classify_gminus1,
     dhar_burn_order,
     enumerate_picard,
+    in_theta,
     is_effective_class,
     laplacian_fire,
     linearly_equivalent,
@@ -204,6 +205,14 @@ class TestTheta:
         for pts in [["v1", "v2"], ["v3", "v3"], ["v2", "v4"]]:
             assert len(pts) == g - 1
             assert abel_jacobi(J, pts) in theta
+            assert in_theta(J, abel_jacobi(J, pts))
+
+    def test_in_theta_needs_a_class_on_the_graph(self, J, K):
+        with pytest.raises(ValidationError):
+            in_theta(K, next(iter(theta_divisor(J))))
+        # Genus 0: no degree-0 class c has c - t0 effective.
+        path = build_graph([("a", "p", "q"), ("b", "q", "r")], "a")
+        assert not in_theta(path, DivisorClass(path, Divisor(path)))
 
 
 def acyclic_orientations_with_unique_source(g, q):

@@ -12,7 +12,14 @@ import reference_divisor as ref
 from helpers import catalogue, cycle_plus_chords
 
 from rigidlift import divisor as divisor_module
-from rigidlift.divisor import Divisor, dhar_burn_order, enumerate_picard, q_reduce, theta_divisor
+from rigidlift.divisor import (
+    Divisor,
+    dhar_burn_order,
+    enumerate_picard,
+    in_theta,
+    q_reduce,
+    theta_divisor,
+)
 from rigidlift.errors import EnumerationBoundExceeded, ValidationError
 from rigidlift.multigraph import build_graph, spanning_tree_count
 
@@ -104,6 +111,16 @@ def test_picard_matches_reference(g, data):
 def test_theta_matches_reference(g, data):
     base = data.draw(st.sampled_from((g.base_edge,) + g.edge_ids))
     assert representatives(theta_divisor(g, base)) == ref.theta_divisor(g, base, 10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_in_theta_matches_reference(g, data):
+    base = data.draw(st.sampled_from((None,) + g.edge_ids))
+    expected = ref.theta_divisor(g, base if base is not None else g.base_edge, 10**6)
+    for c in enumerate_picard(g, 0):
+        assert in_theta(g, c, base) == (c.representative in expected)
+    assert not any(in_theta(g, c, base) for c in enumerate_picard(g, data.draw(st.sampled_from((-1, 1)))))
 
 
 def bound_error(f, *args):

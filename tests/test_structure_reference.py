@@ -26,6 +26,7 @@ from rigidlift.errors import (
     InternalError,
     InvalidCyclicBijection,
     NoCommonCycle,
+    NotTwoConnected,
     NotTwoEdgeConnected,
     RigidliftError,
 )
@@ -34,6 +35,7 @@ from rigidlift.multigraph import (
     build_graph,
     connectivity_profile,
     cycle_basis,
+    find_arches,
     fundamental_cycles,
     series_classes,
 )
@@ -121,6 +123,15 @@ def test_bowtie_is_two_edge_connected_with_a_cut_vertex():
     assert biconnectivity(g) == (False, True)
     assert connectivity_profile(g) == ref.connectivity_profile(g) == (False, 2)
     assert [len(b) for b in series_classes(g)] == [3, 3]
+
+
+def test_bowtie_is_refused_where_2_connectivity_is_required():
+    triangle = cycle_plus_chords(3, 0, 0)
+    g = glued(triangle, triangle, bridge=False)
+    with pytest.raises(NotTwoConnected):
+        make_morphism(g, g, {e: e for e in g.edge_ids})
+    with pytest.raises(NotTwoConnected):
+        find_arches(g)
 
 
 @lru_cache(maxsize=None)
