@@ -209,36 +209,16 @@ def q_reduce(g, d, q):
 
 
 def dhar_burn_order(g, d, q):
-    """Burning order from q for a q-reduced divisor d (q first; all burn).
-    At each step the first burnable vertex in id order burns."""
+    """Burning order from q for a q-reduced divisor d (q first; all burn):
+    `_certify`'s burn, in which the first burnable vertex in id order burns."""
     if q not in g.vertices:
         raise ValidationError(f"vertex {q!r} not in graph")
-    core = _core(g, q)
-    verts, nbrs, qi = g.vertex_ids, core.nbrs, core.q
     if d.graph.vertex_ids != g.vertex_ids:
         raise ValidationError("divisor is not on the vertices of the graph")
-    c = d.vector
-    counts = [0] * len(c)
-    ready = [i for i, x in enumerate(c) if x < 0 and i != qi]
-    lit = [x < 0 for x in c]
-    lit[qi] = True
-    heapq.heapify(ready)
-    order = []
-    i = qi
-    while True:
-        order.append(verts[i])
-        for j, m in nbrs[i]:
-            if not lit[j]:
-                counts[j] += m
-                if counts[j] > c[j]:
-                    lit[j] = True
-                    heapq.heappush(ready, j)
-        if not ready:
-            break
-        i = heapq.heappop(ready)
-    if len(order) < len(verts):
+    order, _ = _certify(_core(g, q), d.vector)
+    if len(order) < len(g.vertex_ids):
         raise ValidationError("divisor is not q-reduced: burning stalls")
-    return order
+    return [g.vertex_ids[i] for i in order]
 
 
 def linearly_equivalent(g, d1, d2):
@@ -330,12 +310,13 @@ def abel_jacobi(g, points, base_edge=None):
 
 def _certify(core, s):
     """One Dhar burn of the configuration s on V - q that always burns the
-    lowest-index burnable vertex next.  Returns None when some vertex never
-    burns (s is not superstable); otherwise the certificate
-    room[v] = (edges from v to vertices burnt before v) - 1 - s[v], which is
-    >= 0 off q.  The burn order orients each edge from its earlier end to
-    its later one: an acyclic orientation with unique source q and
-    s <= indeg - 1, so any s' <= s + room is superstable by the same order."""
+    lowest-index burnable vertex next.  Returns the burn order, which is
+    short when some vertex never burns (s is not superstable), and the
+    certificate room[v] = (edges from v to vertices burnt before v) - 1 - s[v],
+    which is >= 0 off q when all burn.  The burn order orients each edge
+    from its earlier end to its later one: an acyclic orientation with
+    unique source q and s <= indeg - 1, so any s' <= s + room is superstable
+    by the same order."""
     nbrs, qi = core.nbrs, core.q
     n = len(s)
     counts = [0] * n
@@ -343,17 +324,17 @@ def _certify(core, s):
     lit = [False] * n
     lit[qi] = True
     ready = [qi]
-    burnt = 0
+    order = []
     while ready:
         i = heapq.heappop(ready)
-        burnt += 1
+        order.append(i)
         room[i] = counts[i] - 1 - s[i]
         for j, m in nbrs[i]:
             counts[j] += m
             if not lit[j] and counts[j] > s[j]:
                 lit[j] = True
                 heapq.heappush(ready, j)
-    return room if burnt == n else None
+    return order, room
 
 
 def _superstables(core, max_size):
@@ -373,7 +354,7 @@ def _superstables(core, max_size):
     degree = [sum(m for _, m in nbrs[i]) for i in range(n)]
     zero = [0] * n
     yield zero, 0
-    stack = [(zero, _certify(core, zero), 0, 0)] if max_size > 0 else []
+    stack = [(zero, _certify(core, zero)[1], 0, 0)] if max_size > 0 else []
     while stack:
         s, room, first, size = stack.pop()
         size += 1
@@ -387,8 +368,8 @@ def _superstables(core, max_size):
                 child_room = room.copy()
                 child_room[i] -= 1
             else:
-                child_room = _certify(core, child)
-                if child_room is None:
+                order, child_room = _certify(core, child)
+                if len(order) < n:
                     continue
             yield child, size
             if size < max_size:

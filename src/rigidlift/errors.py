@@ -115,6 +115,10 @@ class MorphismNotRigid(RigidliftError):
     pass
 
 
+class NoSeriesFixingLift(RigidliftError):
+    """A rigid morphism with no series-fixing correction to an isomorphism."""
+
+
 class CompositionMismatch(RigidliftError):
     pass
 

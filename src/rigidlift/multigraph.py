@@ -196,25 +196,9 @@ def build_graph(edge_list, base_edge):
     if base_edge not in edges:
         raise MissingBaseEdge(f"base edge {base_edge!r} not among edges")
     g = Multigraph(vertices, edges, base_edge)
-    if not _is_connected(g):
+    if len(spanning_tree_edges(g)) != len(g.vertices) - 1:
         raise Disconnected("underlying graph is not connected")
     return g
-
-
-def _is_connected(g, removed_edges=frozenset()):
-    start = g.vertex_ids[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in g.incident(v):
-            if e in removed_edges:
-                continue
-            w = g.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
 
 
 # -- invariants --------------------------------------------------------------
@@ -313,13 +297,6 @@ def series_classes(g):
             raise NotTwoEdgeConnected("series classes require a 2-edge-connected graph")
         blocks.setdefault(signature, []).append(e)
     return sorted((tuple(b) for b in blocks.values()), key=lambda b: id_key(b[0]))
-
-
-def series_class_of(g, e):
-    for block in series_classes(g):
-        if e in block:
-            return block
-    raise MissingBaseEdge(f"edge {e!r} not in graph")
 
 
 # -- cycles ------------------------------------------------------------------

@@ -17,24 +17,25 @@ from .errors import (
     MorphismIsRigid,
     MorphismNotRigid,
     NoCommonCycle,
+    NoSeriesFixingLift,
     NotBijection,
     NotTwoConnected,
     NotTwoEdgeConnected,
+    QIsEffective,
 )
 from .divisor import (
     DEFAULT_MAX_CLASSES,
     Divisor,
     DivisorClass,
     in_theta,
-    is_effective_class,
     theta_divisor,
     vertex_divisor,
 )
 from .multigraph import (
+    Multigraph,
     biconnectivity,
     cycle_basis,
     id_key,
-    series_class_of,
     series_classes,
 )
 from .orientation import (
@@ -45,24 +46,14 @@ from .orientation import (
 )
 
 
-def require_orcyc_object(g):
-    two_conn, bridgeless = biconnectivity(g)
-    if not two_conn:
-        raise NotTwoConnected(f"{g!r} is not 2-connected")
-    if not bridgeless:
-        raise NotTwoEdgeConnected(f"{g!r} is not 2-edge-connected")
-
-
 def _require_bijection(g, h, edge_map, require_base):
     if set(edge_map) != set(g.edge_ids) or set(edge_map.values()) != set(h.edge_ids):
         raise NotBijection("edge_map is not a bijection between the edge sets")
     if len(set(edge_map.values())) != len(edge_map):
         raise NotBijection("edge_map is not injective")
     if require_base and edge_map[g.base_edge] != h.base_edge:
-        raise BaseNotPreserved(
-            f"base {g.base_edge!r} maps to {edge_map[g.base_edge]!r}, "
-            f"not {h.base_edge!r}"
-        )
+        image = edge_map[g.base_edge]
+        raise BaseNotPreserved(f"base {g.base_edge!r} maps to {image!r}, not {h.base_edge!r}")
 
 
 def validate_cyclic_bijection(g, h, edge_map, require_base=True):
@@ -206,24 +197,19 @@ class OrCycMorphism:
 
 
 def _freeze_map(d, keys):
-    """d as sorted pairs; keys are its keys in id order (edge_ids or
-    vertex_ids)."""
+    """d as sorted pairs; keys are its keys in id order (edge or vertex ids)."""
     return tuple((k, d[k]) for k in keys)
 
 
 def _traverse_edge_subset_cycle(h, edge_set):
-    """Traverse the simple cycle formed by edge_set in h.
-
-    Returns {edge: +1/-1} traversal signs, with the direction chosen so the
-    base-most edge (lowest id) is crossed tail-to-head."""
+    """{edge: +1/-1}: the traversal signs of the simple cycle edge_set of h,
+    in the direction that crosses its lowest edge id tail-to-head."""
     incid = {}
     for e in edge_set:
         for v in h.ends(e):
             incid.setdefault(v, []).append(e)
     if any(len(es) != 2 for es in incid.values()):
-        raise InvalidCyclicBijection(
-            "image of a simple cycle is not a simple cycle"
-        )
+        raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
     start_edge = min(edge_set, key=id_key)
     signs = {start_edge: 1}
     stop, current = h.ends(start_edge)
@@ -282,14 +268,16 @@ def compute_signs(g, h, edge_map, seed=None):
 
 def make_morphism(g, h, edge_map):
     """The morphism of a base-preserving cyclic bijection, with its signs.
-    `compute_signs` traverses the image of each fundamental cycle as a
-    simple cycle, so it raises InvalidCyclicBijection wherever the parity
-    test of `validate_cyclic_bijection` fails; that test is not repeated."""
-    require_orcyc_object(g)
-    require_orcyc_object(h)
+    `compute_signs` compares the genera and traverses the image of each
+    fundamental cycle as a simple cycle, so it raises InvalidCyclicBijection
+    wherever `validate_cyclic_bijection` fails; that test is not repeated."""
+    for graph in (g, h):
+        two_conn, bridgeless = biconnectivity(graph)
+        if not two_conn:
+            raise NotTwoConnected(f"{graph!r} is not 2-connected")
+        if not bridgeless:
+            raise NotTwoEdgeConnected(f"{graph!r} is not 2-edge-connected")
     _require_bijection(g, h, edge_map, True)
-    if g.genus != h.genus:
-        raise InvalidCyclicBijection("edge_map does not preserve simple cycles")
     signs = compute_signs(g, h, edge_map)
     keys = g.edge_ids
     return OrCycMorphism(g, h, _freeze_map(edge_map, keys), _freeze_map(signs, keys))
@@ -373,6 +361,10 @@ def _require_genus(m):
 
 
 def is_rigid(m):
+    """E_phi = 0.  For a base alone in its series class the four criterion-3
+    predicates (this, `diagram_defect` at the base orientation,
+    `theta_preserved`, `s1_image_preserved`) agree; in a larger class Θ
+    cannot see the order of the class's edges (see `_lift`)."""
     _require_genus(m)
     return rigidity_divisor(m).is_zero
 
@@ -407,9 +399,11 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
     inv = inverse_morphism(m)
     for v in sorted(h.vertex_ids, key=id_key):
         q = m.rigidity.representative + vertex_divisor(h, v)
-        if is_effective_class(h, q):
+        try:
+            t = extend_to_nonspecial(h, q)
+        except QIsEffective:
             continue
-        s = DivisorClass(g, inv.push(q + extend_to_nonspecial(h, q)) - shift)
+        s = DivisorClass(g, inv.push(q + t) - shift)
         image = pushforward_class(m, s)
         if in_theta(g, s) and not in_theta(h, image):
             return s, image
@@ -426,63 +420,85 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
 
 
 def lift_to_graph_isomorphism(m):
-    """For a rigid morphism, a series-fixing correction psi and a vertex map
-    such that psi composed with the edge map is a graph isomorphism.  Each
-    edge e goes to the one edge of phi(e)'s series class joining the images
-    of its ends: parallel edges in one series class only occur in a digon,
-    which has genus 1."""
+    """For a rigid morphism, a series-fixing psi and a vertex map such that
+    psi composed with the edge map is a graph isomorphism (`_lift`), else
+    NoSeriesFixingLift.  For a base alone in its series class the four
+    criterion-3 predicates agree, and a rigid morphism lifts fixing the base."""
     if not is_rigid(m):
         raise MorphismNotRigid("only rigid morphisms lift")
+    found, tried = _lift(m)
+    if found is None:
+        raise NoSeriesFixingLift(f"no series-fixing lift at the anchors {list(tried)}")
+    return found
+
+
+def _anchored(m, anchor, reverse):
+    """tau phi onto the target based at `anchor`, reversed if `reverse`; tau
+    swaps phi(base) and the anchor, which lie on the same cycles.  Only the
+    base differs from m's target, so 2-connectivity is not checked again."""
+    g, h = m.source, m.target
+    w = h.base_edge
+    pairs = tuple((e, anchor if r == w else w if r == anchor else r) for e, r in m.edge_map)
+    edges = h.edges
+    if reverse:
+        edges[anchor] = edges[anchor][::-1]
+    target = Multigraph(h.vertices, edges, anchor)
+    signs = compute_signs(g, target, dict(pairs))
+    return OrCycMorphism(g, target, pairs, _freeze_map(signs, g.edge_ids))
+
+
+def _lift(m):
+    """((psi, vertex map) or None, the anchors tried in order).  Θ sees only
+    the 3-edge-connectivization (Caporaso-Viviani), not which edge w' of the
+    series class of phi(base) takes the base, nor which way round, so each
+    anchor w', phi(base) first, is tried both ways round (`_anchored`).  A
+    lift there makes tau phi rigid, so only then are its vertex images (up to
+    one q-reduction each) read: they must be a bijection, and each edge e must
+    have exactly one edge of phi(e)'s class joining the images of its ends.
+    That candidate is verified; psi = {phi(e): assigned(e)} absorbs tau."""
     g, h = m.source, m.target
     emap = m.edge_dict
-    vertex_map = dict(m.vertex_image)
-    vertex_map[g.base_head] = h.base_head
-    vertex_map[g.base_tail] = h.base_tail
-    for p, r in vertex_map.items():
-        if r is None:
-            raise InternalError(f"no target vertex has the class phi_*[{p!r}]")
-    # Series classes are a matroid invariant, so phi carries those of the
-    # source onto those of the target.
-    block_of = {}
-    for block in series_classes(g):
-        image = tuple(emap[e] for e in block)
-        block_of.update(dict.fromkeys(image, image))
-    assigned = {}
-    for e in g.edge_ids:
-        ends = frozenset(vertex_map[p] for p in g.ends(e))
-        candidates = [r for r in block_of[emap[e]] if frozenset(h.ends(r)) == ends]
-        if len(candidates) != 1:
-            raise InternalError(
-                f"series-class edges joining the images of {e!r}: {candidates}"
-            )
-        assigned[e] = candidates[0]
-
-    # psi corrects phi edge-by-edge: psi(phi(e)) = assigned(e).
-    psi = {emap[e]: assigned[e] for e in g.edge_ids}
-    _verify_isomorphism(g, h, assigned, vertex_map)
-    for r, r2 in psi.items():
-        if r2 not in block_of[r]:
-            raise InternalError("correction permutation is not series fixing")
-    return psi, vertex_map
+    # Series classes are a matroid invariant: phi carries the source's onto the target's.
+    images = [tuple(emap[e] for e in block) for block in series_classes(g)]
+    block_of = {r: image for image in images for r in image}
+    joining = {}  # (series class, pair of ends) -> the edges of the class joining them
+    for r in h.edge_ids:
+        joining.setdefault((block_of[r], frozenset(h.ends(r))), []).append(r)
+    w = h.base_edge
+    anchors = tuple(sorted(block_of[w], key=lambda r: (r != w, id_key(r))))
+    for k, anchor in enumerate(anchors):
+        for reverse in (False, True):
+            anchored = m if anchor == w and not reverse else _anchored(m, anchor, reverse)
+            vertex_map = dict(anchored.vertex_image) if anchored.rigidity.is_zero else {}
+            if not _is_onto(vertex_map, h.vertices):
+                continue
+            choices = [
+                joining.get((block_of[emap[e]], frozenset(vertex_map[p] for p in g.ends(e))), ())
+                for e in g.edge_ids
+            ]
+            if any(len(c) != 1 for c in choices):
+                continue
+            assigned = {e: c[0] for e, c in zip(g.edge_ids, choices)}
+            _verify_isomorphism(g, h, assigned, vertex_map)
+            psi = {emap[e]: assigned[e] for e in g.edge_ids}
+            if any(r2 not in block_of[r] for r, r2 in psi.items()):
+                raise InternalError("correction permutation is not series fixing")
+            return (psi, vertex_map), anchors[: k + 1]
+    return None, anchors
 
 
 def _is_onto(mapping, codomain):
     """Whether the values of mapping are the set codomain, each once."""
-    images = set(mapping.values())
-    return len(images) == len(mapping) and images == codomain
+    return len(mapping) == len(codomain) and set(mapping.values()) == codomain
 
 
 def _verify_isomorphism(g, h, edge_map, vertex_map):
-    if vertex_map.keys() != g.vertices:
-        raise InternalError("vertex map does not cover the source")
-    if not _is_onto(vertex_map, h.vertices):
+    if vertex_map.keys() != g.vertices or not _is_onto(vertex_map, h.vertices):
         raise InternalError("vertex map is not a bijection")
     if not _is_onto(edge_map, set(h.edge_ids)):
         raise InternalError("edge map is not a bijection")
     for e in g.edge_ids:
-        a, b = g.ends(e)
-        img = frozenset(h.ends(edge_map[e]))
-        if img != frozenset((vertex_map[a], vertex_map[b])):
+        if frozenset(h.ends(edge_map[e])) != frozenset(vertex_map[p] for p in g.ends(e)):
             raise InternalError(f"adjacency not preserved at edge {e!r}")
 
 
@@ -502,33 +518,17 @@ class NotLiftable:
 
 
 def lift_matroid_isomorphism(g, h, edge_map):
-    """Lift a base-free matroid isomorphism to a graph isomorphism if one
-    exists up to series-fixing automorphisms of the target."""
-    require_orcyc_object(g)
-    require_orcyc_object(h)
-    if g.genus < 2 or h.genus < 2:
-        raise GenusTooSmall("matroid lifting requires genus >= 2")
+    """Lift a base-free matroid isomorphism to a graph isomorphism, up to
+    series-fixing automorphisms of the target: `_lift` at the source's first
+    edge.  The four criterion-3 predicates agree for a base alone in its
+    series class, but a lift may reverse it, so `is_rigid` there decides nothing."""
     base = min(g.edge_ids, key=id_key)
-    g2 = g.with_base(base)
-    if not validate_cyclic_bijection(g2, h, edge_map, require_base=False):
-        raise InvalidCyclicBijection("edge_map does not preserve simple cycles")
-    w = edge_map[base]
-    tried = []
-    for wi in series_class_of(h, w):
-        tau = {r: r for r in h.edge_ids}
-        tau[w], tau[wi] = wi, w
-        composed = {e: tau[edge_map[e]] for e in g2.edge_ids}
-        h2 = h.with_base(wi)
-        morphism = make_morphism(g2, h2, composed)
-        tried.append(wi)
-        if is_rigid(morphism):
-            psi, vmap = lift_to_graph_isomorphism(morphism)
-            final = {e: psi[composed[e]] for e in g2.edge_ids}
-            return MatroidLift(
-                _freeze_map(final, g2.edge_ids),
-                _freeze_map(vmap, g2.vertex_ids),
-                base,
-                wi,
-                tuple(tried),
-            )
-    return NotLiftable(base, tuple(tried))
+    _require_bijection(g, h, edge_map, False)
+    m = make_morphism(g.with_base(base), h.with_base(edge_map[base]), edge_map)
+    _require_genus(m)
+    found, tried = _lift(m)
+    if found is None:
+        return NotLiftable(base, tried)
+    psi, vmap = found
+    final = _freeze_map({e: psi[edge_map[e]] for e in g.edge_ids}, g.edge_ids)
+    return MatroidLift(final, _freeze_map(vmap, g.vertex_ids), base, tried[-1], tried)

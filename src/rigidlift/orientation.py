@@ -521,8 +521,13 @@ def effectiveness_certificate(g, q):
                 raise InternalError("sourceless witness failed verification")
             return SourcelessWitness(w, b)
         raise InternalError("no sourceless witness found for effective class")
-    order = dhar_burn_order(g, reduced, q0)
-    u = orientation_from_order(g, order)
+    return _acyclic_witness(g, reduced)
+
+
+def _acyclic_witness(g, reduced):
+    """The verified acyclic witness of a class whose reduced form at t(base)
+    is `reduced`, negative there: the full orientation of its burn order."""
+    u = orientation_from_order(g, dhar_burn_order(g, reduced, g.base_head))
     c = chern_class(u)
     if not is_acyclic(u) or any(c[v] < reduced[v] for v in g.vertex_ids):
         raise InternalError("acyclic witness failed verification")
@@ -539,14 +544,12 @@ def complete_acyclically(g, u):
 
 
 def extend_to_nonspecial(g, q):
-    """Effective T with q + T ~ c(U) nonspecial, U the acyclic certificate's full orientation."""
-    if is_effective_class(g, q):
+    """Effective T with q + T ~ c(U) nonspecial, U the acyclic certificate's
+    full orientation; q is reduced once, and QIsEffective if it is effective."""
+    reduced = q_reduce(g, q, g.base_head)
+    if reduced[g.base_head] >= 0:
         raise QIsEffective("input class is effective")
-    witness = effectiveness_certificate(g, q)
-    t = chern_class(witness.orientation) - witness.dominated_divisor
-    if not t.is_effective:
-        raise InternalError("extension divisor is not effective")
-    return t
+    return chern_class(_acyclic_witness(g, reduced).orientation) - reduced
 
 
 # -- duality -----------------------------------------------------------------

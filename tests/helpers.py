@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 from rigidlift.multigraph import (
@@ -202,6 +203,53 @@ def sample_morphisms(graphs, target_count, rng=None, bases_per_graph=2):
         if not progressed and round_no > 3:
             break
     return out
+
+
+def _pair(source, target, source_base, target_base, edge_map):
+    g, h = build_graph(source, source_base), build_graph(target, target_base)
+    return g, h, {e: edge_map.get(e, e) for e in g.edge_ids}
+
+
+def digon_cycle_pair():
+    """A rigid morphism between non-isomorphic graphs, with the base in a
+    series class of size 3: a 5-cycle with two adjacent digons onto the same
+    cycle with the digons apart.  The map swaps e5 and e7 and fixes the rest."""
+    return _pair(
+        [("e1", "u0", "u1"), ("e2", "u0", "u1"), ("e3", "u0", "u2"), ("e4", "u0", "u2"),
+         ("e5", "u1", "u3"), ("e6", "u2", "u4"), ("e7", "u3", "u4")],
+        [("e1", "u3", "u1"), ("e2", "u3", "u1"), ("e3", "u0", "u2"), ("e4", "u0", "u2"),
+         ("e5", "u1", "u0"), ("e6", "u2", "u4"), ("e7", "u3", "u4")],
+        "e7", "e5", {"e5": "e7", "e7": "e5"},
+    )
+
+
+def base_reversing_pair():
+    """An identity map of edge ids whose every lift reverses the base e1,
+    which is alone in its series class (so the morphism is not rigid)."""
+    return _pair(
+        [("e1", "u0", "u1"), ("e2", "u0", "u1"), ("e3", "u0", "u2"), ("e4", "u0", "u2"),
+         ("e5", "u0", "u3"), ("e6", "u1", "u2"), ("e7", "u1", "u3")],
+        [("e1", "u0", "u1"), ("e2", "u1", "u0"), ("e3", "u1", "u2"), ("e4", "u1", "u2"),
+         ("e5", "u0", "u3"), ("e6", "u0", "u2"), ("e7", "u1", "u3")],
+        "e1", "e1", {},
+    )
+
+
+def brute_force_lift(g, h, edge_map):
+    """The vertex map of a graph isomorphism psi . edge_map with psi
+    series-fixing, or None: a search over all vertex bijections for one
+    under which each series class of g has, as a multiset, the end pairs of
+    its image class."""
+    classes = series_classes(g)
+    targets = [Counter(frozenset(h.ends(edge_map[e])) for e in block) for block in classes]
+    for perm in itertools.permutations(h.vertex_ids):
+        pi = dict(zip(g.vertex_ids, perm))
+        if all(
+            Counter(frozenset((pi[a], pi[b])) for a, b in map(g.ends, block)) == target
+            for block, target in zip(classes, targets)
+        ):
+            return pi
+    return None
 
 
 def brute_force_spanning_trees(g):

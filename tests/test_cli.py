@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import two_sum_whitney_flip
+from helpers import digon_cycle_pair, two_sum_whitney_flip
 
 import rigidlift
 from rigidlift import cli
@@ -203,6 +203,15 @@ class TestCliRigidity:
             ],
         )
         assert code == 1
+
+    def test_rigid_pair_without_a_lift_is_a_domain_error(self, capsys, tmp_path):
+        g, h, emap = digon_cycle_pair()
+        code = main(["--no-timings", "rigidity", write_morphism_files(tmp_path, g, h, emap)])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "NoSeriesFixingLift" and "anchors" in error["message"]
+        assert "Traceback" not in captured.err
 
 
 def write_morphism_files(tmp_path, g, h, edge_map):

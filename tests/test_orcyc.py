@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import catalogue
+from conftest import graphs_isomorphic
+from helpers import base_reversing_pair, catalogue, digon_cycle_pair
 
 from rigidlift.divisor import Divisor, DivisorClass, theta_divisor
 from rigidlift.errors import (
@@ -12,10 +13,12 @@ from rigidlift.errors import (
     InvalidCyclicBijection,
     MorphismIsRigid,
     MorphismNotRigid,
+    NoSeriesFixingLift,
     NotBijection,
+    NotTwoConnected,
 )
 from rigidlift.homology import iota, lattice_for, pushforward_cochain
-from rigidlift.multigraph import build_graph
+from rigidlift.multigraph import build_graph, series_classes
 from rigidlift.orcyc import (
     MatroidLift,
     NotLiftable,
@@ -297,12 +300,10 @@ class TestGraphLift:
             assert {vmap[a], vmap[b]} == set(h.ends(image))
 
     def test_psi_is_series_fixing(self, gh_morphism):
-        from rigidlift.multigraph import series_class_of
-
         psi, _ = lift_to_graph_isomorphism(gh_morphism)
-        h = gh_morphism.target
+        class_of = {e: b for b in series_classes(gh_morphism.target) for e in b}
         for e, img in psi.items():
-            assert img in series_class_of(h, e)
+            assert img in class_of[e]
 
     def test_identity_lifts_to_identity(self, G):
         psi, vmap = lift_to_graph_isomorphism(identity_morphism(G))
@@ -313,6 +314,28 @@ class TestGraphLift:
     def test_non_rigid_rejected(self, jk_morphism):
         with pytest.raises(MorphismNotRigid):
             lift_to_graph_isomorphism(jk_morphism)
+
+    def test_base_moves_within_its_series_class(self):
+        # Rigid, but s1_image_preserved fails: the only lift sends the base
+        # e5 to e0, the other edge of its series class.
+        g = build_graph(
+            [("e0", "u0", "u2"), ("e1", "u3", "u4"), ("e2", "u3", "u1"), ("e3", "u1", "u2"),
+             ("e4", "u1", "u3"), ("e5", "u4", "u0"), ("e6", "u4", "u3"), ("e7", "u2", "u3")],
+            "e5",
+        )
+        moved = {"e1": ("u3", "u2"), "e3": ("u1", "u4"), "e6": ("u2", "u3"), "e7": ("u4", "u3")}
+        h = build_graph([(e, *moved.get(e, g.ends(e))) for e in g.edge_ids], "e5")
+        m = make_morphism(g, h, {e: e for e in g.edge_ids})
+        assert is_rigid(m) and not s1_image_preserved(m)
+        psi, _ = lift_to_graph_isomorphism(m)
+        assert {k: v for k, v in psi.items() if k != v} == {"e0": "e5", "e5": "e0"}
+
+    def test_rigid_morphism_of_non_isomorphic_graphs_has_no_lift(self):
+        g, h, emap = digon_cycle_pair()
+        m = make_morphism(g, h, emap)
+        assert is_rigid(m) and theta_preserved(m) and not graphs_isomorphic(g, h)
+        with pytest.raises(NoSeriesFixingLift):
+            lift_to_graph_isomorphism(m)
 
 
 class TestMatroidLift:
@@ -338,3 +361,34 @@ class TestMatroidLift:
     def test_identity_map_lifts(self, G):
         result = lift_matroid_isomorphism(G, G, {e: e for e in G.edge_ids})
         assert isinstance(result, MatroidLift)
+
+    def test_lift_that_reverses_the_base(self):
+        # The base is alone in its series class and the morphism is not
+        # rigid, yet the map lifts: every isomorphism reverses e1.
+        g, h, emap = base_reversing_pair()
+        assert not is_rigid(make_morphism(g, h, emap))
+        result = lift_matroid_isomorphism(g, h, emap)
+        assert isinstance(result, MatroidLift)
+        assert result.rigid_candidate == "e1" and result.tried == ("e1",)
+        vmap = dict(result.vertex_map)
+        assert (vmap["u0"], vmap["u1"]) == (h.t("e1"), h.o("e1"))
+
+    def test_each_single_fault_raises_its_error(self, G, H, four_cycle):
+        bowtie = build_graph(
+            [("a1", "x", "y"), ("a2", "y", "c"), ("a3", "c", "x"),
+             ("b1", "c", "p"), ("b2", "p", "q"), ("b3", "q", "c")],
+            "a1",
+        )
+        gh = {f"e{i}": f"r{i}" for i in range(1, 8)}
+        not_cyclic = {e: e for e in G.edge_ids}
+        not_cyclic["e2"], not_cyclic["e4"] = "e4", "e2"
+        cases = [
+            (NotTwoConnected, bowtie, bowtie, {e: e for e in bowtie.edge_ids}),
+            (GenusTooSmall, four_cycle, four_cycle, {e: e for e in four_cycle.edge_ids}),
+            (NotBijection, G, H, {e: r for e, r in gh.items() if e != "e1"}),
+            (NotBijection, G, H, dict.fromkeys(gh, "r2")),
+            (InvalidCyclicBijection, G, G, not_cyclic),
+        ]
+        for error, g, h, emap in cases:
+            with pytest.raises(error):
+                lift_matroid_isomorphism(g, h, emap)

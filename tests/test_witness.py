@@ -11,7 +11,7 @@ from helpers import two_sum_whitney_flip
 from test_structure_reference import _based_morphisms
 
 from rigidlift.divisor import in_theta, theta_divisor
-from rigidlift.errors import EnumerationBoundExceeded
+from rigidlift.errors import EnumerationBoundExceeded, QIsEffective
 from rigidlift.orcyc import is_rigid, nonrigidity_witness, pushforward_class
 
 
@@ -42,7 +42,10 @@ def test_witness_enumerates_no_theta_and_builds_no_orientation(monkeypatch, jk_m
 def test_fallback_searches_source_theta_under_the_bound(monkeypatch, jk_morphism):
     # With every q = E_phi + v taken for effective, both versions fall back
     # to the search over Θ of the source, in the same order.
-    monkeypatch.setattr(sys.modules["rigidlift.orcyc"], "is_effective_class", lambda g, d: True)
+    def effective(g, q):
+        raise QIsEffective("taken for effective")
+
+    monkeypatch.setattr(sys.modules["rigidlift.orcyc"], "extend_to_nonspecial", effective)
     monkeypatch.setattr(ref, "is_effective_class", lambda g, d: True)
     for m in [m for m in _based_morphisms()[:400] if not is_rigid(m)] + [jk_morphism]:
         s, image = nonrigidity_witness(m)
