@@ -215,6 +215,8 @@ def dhar_burn_order(g, d, q):
         raise ValidationError(f"vertex {q!r} not in graph")
     if d.graph.vertex_ids != g.vertex_ids:
         raise ValidationError("divisor is not on the vertices of the graph")
+    if any(k < 0 for v, k in d.items() if v != q):
+        raise ValidationError("divisor is not q-reduced: negative off q")
     order, _ = _certify(_core(g, q), d.vector)
     if len(order) < len(g.vertex_ids):
         raise ValidationError("divisor is not q-reduced: burning stalls")
@@ -296,7 +298,7 @@ class DivisorClass:
 
 def abel_jacobi(g, points, base_edge=None):
     """Class of sum(points) - n * t(base edge)."""
-    t0 = g.t(base_edge) if base_edge is not None else g.base_head
+    t0 = g.with_base(base_edge).base_head if base_edge is not None else g.base_head
     coeffs = {}
     n = 0
     for p in points:
@@ -427,7 +429,7 @@ def in_theta(g, cls, base_edge=None):
     """Whether the class cls on g lies in Θ at t0 = t(base_edge), by default
     t(base of g): deg(cls) = 0 and cls + (g - 1) t0 is effective.  One
     q-reduction, none at t(base of g), where the representative is reduced."""
-    t0 = g.t(base_edge) if base_edge is not None else g.base_head
+    t0 = g.with_base(base_edge).base_head if base_edge is not None else g.base_head
     d = cls.representative + vertex_divisor(g, t0, g.genus - 1)
     return cls.degree == 0 and (d.is_effective if t0 == g.base_head else is_effective_class(g, d))
 

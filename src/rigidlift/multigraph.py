@@ -205,42 +205,26 @@ def build_graph(edge_list, base_edge):
 
 
 def biconnectivity(g):
-    """(no cut vertex, no bridge), both False when g is disconnected, from
-    one iterative Hopcroft-Tarjan depth-first search.  The search skips only
-    the edge id a vertex was entered by, so a parallel edge back to the
-    parent counts as a back edge."""
-    root = g.vertex_ids[0]
-    disc = {root: 0}
-    low = {root: 0}
-    stack = [(root, None, iter(g.incident(root)))]
-    root_children = 0
-    cut_vertex = bridge = False
+    """(no cut vertex, no bridge), read off the cycle basis.  A bridge is an
+    edge of zero signature.  With 3 or more vertices g has no cut vertex iff
+    its cycle matroid is connected (Whitney), that is iff it is bridgeless
+    and its fundamental cycles form one class under sharing an edge; the
+    class of cycle 0 is spread once, each newly reached cycle pushed once."""
+    basis = cycle_basis(g, None)
+    bridgeless = all(basis.signatures)
+    if len(g.vertices) < 3 or not bridgeless:
+        return (len(g.vertices) == 2, bridgeless)
+    signature = dict(zip(g.edge_ids, basis.signatures))
+    reached, stack = 1, [0]
     while stack:
-        v, via, edges = stack[-1]
-        for e in edges:
-            if e == via:
-                continue
-            w = g.other_end(e, v)
-            if w in disc:
-                low[v] = min(low[v], disc[w])
-            else:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, e, iter(g.incident(w))))
-                break
-        else:
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] > disc[u]:
-                bridge = True
-            if u == root:
-                root_children += 1
-            elif low[v] >= disc[u]:
-                cut_vertex = True
-    connected = len(disc) == len(g.vertices)
-    return (connected and not cut_vertex and root_children < 2, connected and not bridge)
+        for e in basis.cycles[stack.pop()].edges:
+            new = signature[e] & ~reached
+            reached |= new
+            while new:
+                low = new & -new
+                stack.append(low.bit_length() - 1)
+                new ^= low
+    return (reached == (1 << len(basis.cycles)) - 1, True)
 
 
 def connectivity_profile(g):

@@ -234,9 +234,10 @@ def compute_signs(g, h, edge_map, seed=None):
     A fundamental cycle C of g and its image, each traversed in some
     direction, give sgn(e) = eps_C * src(e) * img(phi e) on C for one
     unknown eps_C = +-1.  The signs spread from the base across cycles that
-    share an edge; in a 2-connected graph that reaches every edge.  `seed`
-    shuffles the edge order that builds the spanning tree; the answer does
-    not depend on it."""
+    share an edge; they reach every edge iff the cycle matroid of g is
+    connected, which for 3 or more vertices is g being 2-connected (Whitney).
+    A base on no cycle raises NoCommonCycle.  `seed` shuffles the edge order
+    that builds the spanning tree; the answer does not depend on it."""
     if g.genus != h.genus:
         raise InvalidCyclicBijection("source and target genera differ")
     ratios = []
@@ -247,8 +248,10 @@ def compute_signs(g, h, edge_map, seed=None):
             cycles_of.setdefault(e, []).append(len(ratios))
         ratios.append({e: s * img_signs[edge_map[e]] for e, s in zip(cyc.edges, cyc.signs)})
     base = g.base_edge
+    if base not in cycles_of:
+        raise NoCommonCycle(f"the base {base!r} lies on no cycle")
     signs = {base: 1}
-    queue = deque((i, base) for i in cycles_of.get(base, ()))
+    queue = deque((i, base) for i in cycles_of[base])
     reached = {i for i, _ in queue}
     while queue:
         i, known = queue.popleft()
@@ -270,15 +273,21 @@ def make_morphism(g, h, edge_map):
     """The morphism of a base-preserving cyclic bijection, with its signs.
     `compute_signs` compares the genera and traverses the image of each
     fundamental cycle as a simple cycle, so it raises InvalidCyclicBijection
-    wherever `validate_cyclic_bijection` fails; that test is not repeated."""
-    for graph in (g, h):
-        two_conn, bridgeless = biconnectivity(graph)
-        if not two_conn:
-            raise NotTwoConnected(f"{graph!r} is not 2-connected")
-        if not bridgeless:
-            raise NotTwoEdgeConnected(f"{graph!r} is not 2-edge-connected")
+    wherever `validate_cyclic_bijection` fails; that test is not repeated.
+    A walk that succeeds makes phi an isomorphism of cycle matroids that it
+    proves connected, so both graphs are 2-connected, and only a failed walk
+    asks `biconnectivity` which graph is not."""
     _require_bijection(g, h, edge_map, True)
-    signs = compute_signs(g, h, edge_map)
+    try:
+        signs = compute_signs(g, h, edge_map)
+    except (InvalidCyclicBijection, NoCommonCycle):
+        for graph in (g, h):
+            two_conn, bridgeless = biconnectivity(graph)
+            if not two_conn:
+                raise NotTwoConnected(f"{graph!r} is not 2-connected")
+            if not bridgeless:
+                raise NotTwoEdgeConnected(f"{graph!r} is not 2-edge-connected")
+        raise
     keys = g.edge_ids
     return OrCycMorphism(g, h, _freeze_map(edge_map, keys), _freeze_map(signs, keys))
 

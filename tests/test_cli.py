@@ -120,8 +120,9 @@ class TestCliInfo:
         assert frozenset({"e3", "e6", "e7"}) in blocks
 
     def test_bowtie_has_a_cut_vertex_and_no_bridge(self, capsys, tmp_path):
-        # Two triangles sharing vertex a: the depth-first search finds the
-        # cut vertex, while the max-flow still finds edge connectivity 2.
+        # Two triangles sharing vertex a: the two fundamental cycles share no
+        # edge, so a is a cut vertex, while the max-flow still finds edge
+        # connectivity 2.
         path = tmp_path / "bowtie.graph"
         path.write_text(
             "edge e1 a b\nedge e2 b c\nedge e3 c a\n"

@@ -25,7 +25,7 @@ from rigidlift.divisor import (
     vertex_divisor,
 )
 from rigidlift.divisor import _theta_cached
-from rigidlift.errors import EnumerationBoundExceeded, ValidationError, WrongDegree
+from rigidlift.errors import EnumerationBoundExceeded, MissingBaseEdge, ValidationError, WrongDegree
 from rigidlift.multigraph import build_graph, spanning_tree_count
 
 
@@ -87,6 +87,12 @@ class TestQReduce:
         assert r.degree == d.degree
         assert linearly_equivalent(G, r, d)
         assert q_reduce(G, r, q) == r
+
+    def test_burn_order_refuses_a_divisor_negative_off_q(self, K):
+        # Every vertex would burn, but -1 off q is not q-reduced.
+        d = Divisor(K, {"w1": -1, "w3": -1, "w4": -1})
+        with pytest.raises(ValidationError, match="negative off q"):
+            dhar_burn_order(K, d, "w2")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -173,6 +179,10 @@ class TestAbelJacobi:
         for pts in (["v1"], ["v1", "v4"], ["v2", "v2", "v3"]):
             assert abel_jacobi(J, pts).degree == 0
 
+    def test_unknown_base_edge_is_refused(self, G):
+        with pytest.raises(MissingBaseEdge):
+            abel_jacobi(G, ["v3"], base_edge="nope")
+
 
 class TestTheta:
     def test_fixture_sizes(self, G, H, J, K):
@@ -213,6 +223,12 @@ class TestTheta:
         # Genus 0: no degree-0 class c has c - t0 effective.
         path = build_graph([("a", "p", "q"), ("b", "q", "r")], "a")
         assert not in_theta(path, DivisorClass(path, Divisor(path)))
+
+    def test_in_theta_refuses_an_unknown_base_edge(self, J):
+        with pytest.raises(MissingBaseEdge):
+            in_theta(J, next(iter(theta_divisor(J))), base_edge="nope")
+        with pytest.raises(MissingBaseEdge):
+            theta_divisor(J, base_edge="nope")
 
 
 def acyclic_orientations_with_unique_source(g, q):

@@ -16,6 +16,7 @@ from rigidlift.errors import (
     NoSeriesFixingLift,
     NotBijection,
     NotTwoConnected,
+    NotTwoEdgeConnected,
 )
 from rigidlift.homology import iota, lattice_for, pushforward_cochain
 from rigidlift.multigraph import build_graph, series_classes
@@ -379,11 +380,26 @@ class TestMatroidLift:
              ("b1", "c", "p"), ("b2", "p", "q"), ("b3", "q", "c")],
             "a1",
         )
+        # A 2-connected source of the same genus, a 5-cycle with a chord, and
+        # a target with a bridge: a triangle and a digon at c, and a pendant edge.
+        chorded = build_graph(
+            [("s1", 0, 1), ("s2", 1, 2), ("s3", 2, 3), ("s4", 3, 4), ("s5", 4, 0), ("s6", 0, 2)],
+            "s1",
+        )
+        bridged = build_graph(
+            [("a1", "x", "y"), ("a2", "y", "c"), ("a3", "c", "x"),
+             ("b1", "c", "p"), ("b2", "p", "c"), ("b3", "p", "q")],
+            "a1",
+        )
+        k2 = build_graph([("a", "x", "y")], "a")
         gh = {f"e{i}": f"r{i}" for i in range(1, 8)}
         not_cyclic = {e: e for e in G.edge_ids}
         not_cyclic["e2"], not_cyclic["e4"] = "e4", "e2"
         cases = [
             (NotTwoConnected, bowtie, bowtie, {e: e for e in bowtie.edge_ids}),
+            (NotTwoConnected, chorded, bowtie, dict(zip(chorded.edge_ids, bowtie.edge_ids))),
+            (NotTwoConnected, chorded, bridged, dict(zip(chorded.edge_ids, bridged.edge_ids))),
+            (NotTwoEdgeConnected, k2, k2, {"a": "a"}),
             (GenusTooSmall, four_cycle, four_cycle, {e: e for e in four_cycle.edge_ids}),
             (NotBijection, G, H, {e: r for e, r in gh.items() if e != "e1"}),
             (NotBijection, G, H, dict.fromkeys(gh, "r2")),
@@ -392,3 +408,7 @@ class TestMatroidLift:
         for error, g, h, emap in cases:
             with pytest.raises(error):
                 lift_matroid_isomorphism(g, h, emap)
+            with pytest.raises(error):
+                is_rigid(make_morphism(g, h, emap))
+        with pytest.raises(BaseNotPreserved):
+            make_morphism(G, G.with_base("e2"), {e: e for e in G.edge_ids})

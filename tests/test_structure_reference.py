@@ -1,4 +1,4 @@
-"""Differential tests: the cycle-signature series classes, the depth-first
+"""Differential tests: the cycle-signature series classes and
 2-connectivity and the fundamental-cycle signs against the graph-structure
 layer as first written (tests/reference_structure.py), and the matroid lift
 against a brute force over vertex bijections (tests/helpers.py)."""
@@ -25,9 +25,11 @@ from helpers import (
 
 from rigidlift.divisor import q_reduce, vertex_divisor
 from rigidlift.errors import (
+    BaseNotPreserved,
     InternalError,
     InvalidCyclicBijection,
     NoCommonCycle,
+    NotBijection,
     NotTwoConnected,
     NotTwoEdgeConnected,
     RigidliftError,
@@ -129,6 +131,20 @@ def test_bowtie_is_two_edge_connected_with_a_cut_vertex():
     assert [len(b) for b in series_classes(g)] == [3, 3]
 
 
+def test_biconnectivity_on_a_long_necklace_and_a_long_ladder():
+    """One spread over the cycles, not a fixed point over the signatures:
+    300 triangles chained at shared vertices, and a ladder of 500 rungs."""
+    necklace = []
+    for i in range(300):
+        a, m, b = f"c{i}", f"m{i}", f"c{i + 1}"
+        necklace += [(3 * i, a, m), (3 * i + 1, m, b), (3 * i + 2, b, a)]
+    assert biconnectivity(build_graph(necklace, 0)) == (False, True)
+    ladder = [(i, f"a{i}", f"b{i}") for i in range(500)]
+    for i in range(499):
+        ladder += [(500 + i, f"a{i}", f"a{i + 1}"), (1000 + i, f"b{i}", f"b{i + 1}")]
+    assert biconnectivity(build_graph(ladder, 0)) == (True, True)
+
+
 def test_bowtie_is_refused_where_2_connectivity_is_required():
     triangle = cycle_plus_chords(3, 0, 0)
     g = glued(triangle, triangle, bridge=False)
@@ -191,6 +207,8 @@ def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
     structure = sys.modules["rigidlift.multigraph"]
     monkeypatch.setattr(structure, "cycle_through_edges", forbidden)
     monkeypatch.setattr(structure, "_max_flow", forbidden)
+    # A valid morphism is 2-connected by its sign walk alone.
+    monkeypatch.setattr(sys.modules["rigidlift.orcyc"], "biconnectivity", forbidden)
     # E_phi is computed from coefficient vectors, with no orientation object.
     monkeypatch.setattr(PartialOrientation, "__init__", forbidden)
     cycle_basis.cache_clear()
@@ -435,3 +453,56 @@ def test_make_morphism_rejects_exactly_the_maps_that_break_cycles():
             outcomes[valid, InvalidCyclicBijection] += 1
     assert set(outcomes) == {(True, "morphism"), (False, InvalidCyclicBijection)}
     assert min(outcomes.values()) > 300
+
+
+def reference_morphism_error(g, h, emap):
+    """The error of a make_morphism that checks g, then h, for
+    2-connectivity by vertex removal and max-flow, then the bijection, then
+    the cycles by the parity test; None for a morphism."""
+    for graph in (g, h):
+        two_connected, k = ref.connectivity_profile(graph)
+        if not two_connected:
+            return NotTwoConnected
+        if k < 2:
+            return NotTwoEdgeConnected
+    if set(emap) != set(g.edge_ids) or sorted(map(repr, emap.values())) != sorted(map(repr, h.edge_ids)):
+        return NotBijection
+    if emap[g.base_edge] != h.base_edge:
+        return BaseNotPreserved
+    if not validate_cyclic_bijection(g, h, emap):
+        return InvalidCyclicBijection
+    return None
+
+
+def test_make_morphism_errors_match_a_reference_that_checks_2_connectivity_first():
+    """make_morphism asks which graph is not 2-connected only when the sign
+    walk fails; on base-preserving bijections between catalogue graphs,
+    random connected multigraphs of 2-6 vertices and K2 it raises what
+    checking both graphs first raises, and a morphism has the reference signs."""
+    rng = random.Random(13)
+    k2 = build_graph([("a", "x", "y")], "a")
+    graphs = list(catalogue()) + [random_multigraph(rng, max_vertices=6) for _ in range(400)] + [k2]
+    by_size = {}
+    for g in graphs:
+        by_size.setdefault(len(g.edge_ids), []).append(g)
+    outcomes = Counter()
+    for g in graphs:
+        for h in [g] + [rng.choice(by_size[len(g.edge_ids)]) for _ in range(4)]:
+            g, h = g.with_base(rng.choice(g.edge_ids)), h.with_base(rng.choice(h.edge_ids))
+            images = [r for r in h.edge_ids if r != h.base_edge]
+            rng.shuffle(images)
+            emap = dict(zip([e for e in g.edge_ids if e != g.base_edge], images))
+            emap[g.base_edge] = h.base_edge
+            expected = reference_morphism_error(g, h, emap)
+            try:
+                signs = make_morphism(g, h, emap).sign_dict
+            except RigidliftError as exc:
+                assert type(exc) is expected
+            else:
+                assert expected is None and signs == ref.compute_signs(g, h, emap)
+            outcomes[expected] += 1
+    # With 3 or more vertices a bridge makes a cut vertex: only K2 -> K2 is
+    # refused as not 2-edge-connected.
+    assert outcomes.pop(NotTwoEdgeConnected) == 5
+    assert set(outcomes) == {None, NotTwoConnected, InvalidCyclicBijection}
+    assert min(outcomes.values()) > 200
