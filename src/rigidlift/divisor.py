@@ -339,26 +339,32 @@ def _certify(core, s):
     return order, room
 
 
-def _superstables(core, max_size):
-    """Yield (s, |s|) for each superstable configuration s on V - q with
-    |s| <= max_size, as a list indexed like core (s[q] = 0; the caller must
-    not modify it).
+def _superstables(core, nodes, max_size, frontier=None):
+    """Grow the certified superstable search on V - q from `nodes`, a stack
+    of search nodes (s, room, first, |s|) whose children are still to be
+    grown, each with |s| < max_size (room None: not burnt yet).  Yield
+    (s, |s|) for each superstable child s with |s| <= max_size, as a list
+    indexed like core (s[q] = 0; the caller must not modify it).  A child of
+    size max_size is not grown; it goes to `frontier` when one is given, so
+    a later call can resume the search from it.  `_Search` runs it once per
+    graph: Θ is the cut at g - 1, Pic^0 resumes from Θ's frontier, and
+    every Pic^d is a translate of Pic^0.
 
-    Superstables form an order ideal, so a depth-first search reaches each
-    one once, from its canonical parent: s minus one chip on its last
-    non-zero vertex.  Each node carries its `_certify` room; a child s + e_i
-    with room[i] > 0 is superstable by the parent's burn order and inherits
-    that room less one at i, so only the other children are burnt.  A child
-    with s[i] + 1 >= deg(i) can never burn and is skipped outright."""
+    Superstables form an order ideal, so a depth-first search from the zero
+    configuration reaches each one once, from its canonical parent: s minus
+    one chip on its last non-zero vertex.  Each node carries its `_certify`
+    room; a child s + e_i with room[i] > 0 is superstable by the parent's
+    burn order and inherits that room less one at i, so only the other
+    children are burnt.  A child with s[i] + 1 >= deg(i) can never burn and
+    is skipped outright."""
     nbrs, qi = core.nbrs, core.q
     n = len(nbrs)
     others = [i for i in range(n) if i != qi]
     degree = [sum(m for _, m in nbrs[i]) for i in range(n)]
-    zero = [0] * n
-    yield zero, 0
-    stack = [(zero, _certify(core, zero)[1], 0, 0)] if max_size > 0 else []
-    while stack:
-        s, room, first, size = stack.pop()
+    while nodes:
+        s, room, first, size = nodes.pop()
+        if room is None:
+            room = _certify(core, s)[1]
         size += 1
         for p in range(first, len(others)):
             i = others[p]
@@ -375,7 +381,9 @@ def _superstables(core, max_size):
                     continue
             yield child, size
             if size < max_size:
-                stack.append((child, child_room, p, size))
+                nodes.append((child, child_room, p, size))
+            elif frontier is not None:
+                frontier.append((child, child_room, p, size))
 
 
 def _class_of(g, qi, s, degree, size):
@@ -386,43 +394,107 @@ def _class_of(g, qi, s, degree, size):
     return DivisorClass._of_reduced(g, Divisor._of(g, rep))
 
 
+class _Search:
+    """The certified superstable search of g at q = t(base of g), one per
+    graph (see `_search`).  With tau = |Pic^0| (the spanning-tree count):
+
+    - `theta` is Θ at q, the classes s - |s| q with |s| <= g - 1: at q a
+      degree-0 class is s - |s| q for a superstable s, and s + (g - 1 - |s|) q
+      is also q-reduced, so c + (g - 1) q is effective iff |s| <= g - 1.
+      `frontier` holds the search nodes of size g - 1, whose children the
+      cut at g - 1 does not grow.
+    - `pic0` is Pic^0: `theta` plus the top level |s| = g, grown from the
+      frontier by the same child rule, so it burns only configurations of
+      size g and builds only |Pic^0| - |Θ| new classes.  The frontier is then
+      dropped.  Asked for first, Pic^0 grows Θ on the way."""
+
+    __slots__ = ("graph", "core", "tau", "theta", "frontier", "pic0")
+
+    def __init__(self, g):
+        self.graph = g
+        self.core = _core(g, g.base_head)
+        self.tau = spanning_tree_count(g)
+        self.theta = self.frontier = self.pic0 = None
+
+    def check_bound(self, max_classes):
+        """Raise EnumerationBoundExceeded, with the limit and reached count
+        of a search stopped at the first class over max(max_classes, 1),
+        when |Pic^0| is over that bound."""
+        bound = max(max_classes, 1)
+        if self.tau > bound:
+            raise EnumerationBoundExceeded(max_classes, bound + 1)
+
+    def theta_classes(self):
+        if self.theta is None:
+            g, core = self.graph, self.core
+            zero = [0] * len(core.nbrs)
+            root = (zero, None, 0, 0)
+            nodes, self.frontier = ([root], []) if g.genus > 1 else ([], [root])
+            found = _superstables(core, nodes, g.genus - 1, self.frontier)
+            self.theta = frozenset([_class_of(g, core.q, zero, 0, 0)]).union(
+                _class_of(g, core.q, s, 0, size) for s, size in found
+            )
+        return self.theta
+
+    def pic0_classes(self):
+        if self.pic0 is None:
+            g, core = self.graph, self.core
+            if g.genus == 0:
+                self.pic0 = frozenset([_class_of(g, core.q, [0] * len(core.nbrs), 0, 0)])
+            else:
+                theta = self.theta_classes()
+                top = _superstables(core, list(self.frontier), g.genus)
+                self.pic0 = theta.union(_class_of(g, core.q, s, 0, size) for s, size in top)
+            self.frontier = None
+        return self.pic0
+
+
+@lru_cache(maxsize=256)
+def _search(g):
+    """The one certified superstable search of g, shared by Θ, Pic^0 and
+    every Pic^d."""
+    return _Search(g)
+
+
 def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
     """All divisor classes of the given degree (finite; desk scale).
 
     With q = t(base edge), the q-reduced divisors of degree d are exactly
     s + (d - |s|) q for the superstable configurations s on V - q, and
-    |s| <= g for each of them.  They come from the certified superstable
-    search (`_superstables`), which runs about one Dhar burn per class and
-    no q-reduction.  Raises EnumerationBoundExceeded as soon as more than
-    max(max_classes, 1) classes are found."""
-    core = _core(g, g.base_head)
-    bound = max(max_classes, 1)
-    found = []
-    for s, size in _superstables(core, g.genus):
-        found.append(_class_of(g, core.q, s, degree, size))
-        if len(found) > bound:
-            raise EnumerationBoundExceeded(max_classes, len(found))
-    return frozenset(found)
+    |s| <= g for each of them.  Pic^0 is g's one certified superstable search
+    (`_Search`): Θ, its prefix |s| <= g - 1, then the top level resumed from
+    Θ's frontier, about one Dhar burn per class and no q-reduction.  Pic^d is
+    Pic^0 translated by d q, with no burn.  Raises EnumerationBoundExceeded
+    when |Pic^d| (the spanning-tree count) is over max(max_classes, 1), as a
+    search stopped at the first class over that bound would."""
+    search = _search(g)
+    search.check_bound(max_classes)
+    pic0 = search.pic0_classes()
+    if degree == 0:
+        return pic0
+    qi = search.core.q
+    out = []
+    for c in pic0:
+        rep = list(c.representative.vector)
+        rep[qi] += degree
+        out.append(DivisorClass._of_reduced(g, Divisor._of(g, rep)))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=256)
-def _theta_cached(g, base_edge, max_classes):
-    """Θ at t0 = t(base_edge), with the class bound of enumerate_picard(g, 0).
+def _theta_cached(g, t0):
+    """Θ at the vertex t0, for t0 = t(some base edge).
 
-    At t0 = t(base of g) = q, a degree-0 class is s - |s| q for a superstable
-    s, and s + (g - 1 - |s|) q is also q-reduced, so c + (g - 1) t0 is
-    effective iff |s| <= g - 1: Θ is the certified search cut at size g - 1,
-    and the top level |s| = g is never visited.  It raises exactly when
-    |Pic^0| (the spanning-tree count) would make enumerate_picard raise,
-    with the same limit and reached.  At any other t0 `in_theta` filters Pic^0."""
-    t0 = g.with_base(base_edge).base_head
-    if t0 != g.base_head:
-        return frozenset(c for c in enumerate_picard(g, 0, max_classes) if in_theta(g, c, base_edge))
-    bound = max(max_classes, 1)
-    if spanning_tree_count(g) > bound:
-        raise EnumerationBoundExceeded(max_classes, bound + 1)
-    core = _core(g, t0)
-    return frozenset(_class_of(g, core.q, s, 0, size) for s, size in _superstables(core, g.genus - 1))
+    At t0 = t(base of g) = q it is the prefix |s| <= g - 1 of g's certified
+    search (`_Search`), cut before the top level |s| = g, which it never
+    burns.  At any other t0, c + (g - 1) t0 is effective iff
+    c + (g - 1)(t0 - q) + (g - 1) q is, so Θ at t0 is Θ at q translated by
+    -(g - 1)(t0 - q): one q-reduction per class, no Pic^0."""
+    theta = _search(g).theta_classes()
+    if t0 == g.base_head:
+        return theta
+    shift = Divisor(g, {t0: g.genus - 1, g.base_head: 1 - g.genus})
+    return frozenset(c - shift for c in theta)
 
 
 def in_theta(g, cls, base_edge=None):
@@ -436,13 +508,16 @@ def in_theta(g, cls, base_edge=None):
 
 def theta_divisor(g, base_edge=None, max_classes=DEFAULT_MAX_CLASSES):
     """Degree-0 classes c with c + (g-1)t(base) effective (the theta divisor),
-    base defaulting to g's own.  Cached per (graph, base, bound); at g's own
-    base it is the certified superstable search bounded at |s| <= g - 1.
-    Raises EnumerationBoundExceeded when |Pic^0| exceeds max_classes, as
-    enumerate_picard(g, 0, max_classes) would."""
+    base defaulting to g's own.  At g's own base it is the |s| <= g - 1 prefix
+    of g's one certified search, which Pic^0 later resumes; at any other base
+    it is that prefix translated.  Cached per (graph, t(base)).  Raises
+    EnumerationBoundExceeded when |Pic^0| exceeds max_classes, as
+    enumerate_picard(g, 0, max_classes) would, on a cache hit too."""
     if g.genus < 1:
         raise GenusTooSmall("theta divisor needs genus >= 1")
-    return _theta_cached(g, base_edge if base_edge is not None else g.base_edge, max_classes)
+    t0 = g.with_base(base_edge).base_head if base_edge is not None else g.base_head
+    _search(g).check_bound(max_classes)
+    return _theta_cached(g, t0)
 
 
 class Classification(enum.Enum):

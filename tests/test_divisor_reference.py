@@ -21,7 +21,7 @@ from rigidlift.divisor import (
     theta_divisor,
 )
 from rigidlift.errors import EnumerationBoundExceeded, ValidationError
-from rigidlift.multigraph import build_graph, spanning_tree_count
+from rigidlift.multigraph import Multigraph, build_graph, spanning_tree_count
 
 
 @st.composite
@@ -123,6 +123,12 @@ def test_in_theta_matches_reference(g, data):
     assert not any(in_theta(g, c, base) for c in enumerate_picard(g, data.draw(st.sampled_from((-1, 1)))))
 
 
+def clear_caches():
+    """Forget every cached search, Theta and core."""
+    for cache in (divisor_module._search, divisor_module._theta_cached, divisor_module._core):
+        cache.cache_clear()
+
+
 def bound_error(f, *args):
     """(limit, reached) of the EnumerationBoundExceeded that f(*args) raises,
     or None if it returns."""
@@ -165,6 +171,19 @@ def test_tiny_bounds_raise_as_the_reference_does(bound):
         assert bound_error(theta_divisor, g, g.base_edge, bound) == theta_expected
 
 
+def test_bounds_hold_on_a_cache_hit():
+    """Once Pic^0 of g is cached, a bound of tau - 1 still raises, with the
+    limit and reached count of a search that stops at its tau-th class."""
+    for g in (catalogue()[0], cycle_plus_chords(3, 1, 5), LADDER["W5"], LADDER["cc8+3"]):
+        tau = spanning_tree_count(g)
+        assert len(enumerate_picard(g, 0)) == tau and len(theta_divisor(g)) > 0
+        assert bound_error(enumerate_picard, g, 0, tau - 1) == (tau - 1, tau)
+        assert bound_error(enumerate_picard, g, 1, tau - 1) == (tau - 1, tau)
+        assert bound_error(theta_divisor, g, None, tau - 1) == (tau - 1, tau)
+        assert bound_error(theta_divisor, g, g.edge_ids[-1], tau - 1) == (tau - 1, tau)
+        assert bound_error(ref.enumerate_picard, g, 0, tau - 1) == (tau - 1, tau)
+
+
 def test_enumeration_and_theta_run_no_q_reduce(monkeypatch):
     g = cycle_plus_chords(6, 4, 11)
     expected = ref.theta_divisor(g, g.base_edge, 10**6)
@@ -179,7 +198,7 @@ def test_enumeration_and_theta_run_no_q_reduce(monkeypatch):
     assert len(enumerate_picard(g, 3)) == spanning_tree_count(g)
     # Theta at the default base is its own search: no Pic^0 enumeration.
     monkeypatch.setattr(divisor_module, "enumerate_picard", forbidden("enumerate_picard"))
-    divisor_module._theta_cached.cache_clear()
+    clear_caches()
     assert representatives(theta_divisor(g)) == expected
 
 
@@ -276,10 +295,25 @@ def theta_rung(shape, seed):
     return build_graph(copy, new_base)
 
 
+# Certificate burns of Theta alone on theta_rung(THETA_RUNGS[name], seed)
+# for seeds 0-9, as the search cut at |s| = g - 1 made them before Pic^0
+# resumed from its frontier.
+THETA_BURNS = {
+    "W5": (36, 37, 38, 39, 39, 37, 37, 40, 39, 41),
+    "W6": (113, 111, 116, 117, 124, 113, 126, 126, 102, 107),
+    "cc5+5": (24, 20, 26, 27, 19, 24, 17, 21, 21, 17),
+    "cc6+4": (34, 26, 32, 33, 24, 35, 32, 23, 29, 35),
+    "cc6+5": (42, 45, 53, 57, 44, 47, 39, 54, 55, 43),
+    "cc7+5": (101, 110, 77, 50, 131, 99, 89, 123, 64, 55),
+}
+
+
 @pytest.mark.parametrize("name", sorted(THETA_RUNGS))
 def test_search_burns_about_once_per_class(name, monkeypatch):
-    """At most 1.5 certificate burns per class of Pic^0, and Theta at the
-    default base burns no configuration of size g."""
+    """At most 1.5 certificate burns per class of Pic^0.  Theta at the
+    default base burns no configuration of size g, and exactly as many as
+    the search cut at g - 1 always did; Pic^0 after Theta burns only
+    configurations of size g, and Theta after Pic^0 burns nothing."""
     burnt = []
     certify = divisor_module._certify
 
@@ -290,10 +324,92 @@ def test_search_burns_about_once_per_class(name, monkeypatch):
     monkeypatch.setattr(divisor_module, "_certify", counting)
     for seed in range(10):
         g = theta_rung(THETA_RUNGS[name], seed)
+        clear_caches()
         burnt.clear()
         classes = enumerate_picard(g, 0)
         assert len(burnt) <= 1.5 * len(classes)
-        burnt.clear()
+        pic0_burns = len(burnt)
         divisor_module._theta_cached.cache_clear()
+        burnt.clear()
+        theta_divisor(g)
+        assert not burnt
+        clear_caches()
         theta_divisor(g)
         assert burnt and max(burnt) <= g.genus - 1
+        assert len(burnt) == THETA_BURNS[name][seed]
+        theta_burns = len(burnt)
+        burnt.clear()
+        assert enumerate_picard(g, 0) == classes
+        assert set(burnt) == {g.genus} and theta_burns + len(burnt) == pic0_burns
+
+
+def cleared_in_order(g, order):
+    """Representatives from each request of `order` ("theta", or a degree
+    for Pic^d) made in that order with every cache cleared first."""
+    clear_caches()
+    return {
+        what: representatives(theta_divisor(g) if what == "theta" else enumerate_picard(g, what))
+        for what in order
+    }
+
+
+CALL_ORDERS = (("theta", 0), (0, "theta"), (1, 0, "theta"))
+
+
+def assert_call_orders_agree(g, pic0=None, pic1=None):
+    """Theta, Pic^0 and Pic^1 of g agree whichever is asked for first, and
+    with the reference: pic0 and pic1 as ref.enumerate_picard gives them or,
+    when not given, checked as in the ladder test (tau distinct degree-d
+    divisors that the reference q_reduce leaves fixed)."""
+    results = [cleared_in_order(g, order) for order in CALL_ORDERS]
+    for got in results[:-1]:
+        assert got == {what: results[-1][what] for what in got}
+    got = results[-1]
+    tau, q0 = spanning_tree_count(g), g.base_head
+    for degree, expected in ((0, pic0), (1, pic1)):
+        if expected is None:
+            assert len(got[degree]) == tau
+            assert all(d.degree == degree and ref.q_reduce(g, d, q0) == d for d in got[degree])
+        else:
+            assert got[degree] == expected
+    assert got["theta"] == ref.theta_among(g, g.base_edge, got[0])
+
+
+@pytest.mark.parametrize("name", sorted(THETA_RUNGS))
+def test_call_order_does_not_change_the_classes(name):
+    for seed in range(10):
+        assert_call_orders_agree(theta_rung(THETA_RUNGS[name], seed))
+
+
+def test_call_order_does_not_change_the_classes_on_the_catalogue():
+    for g in catalogue():
+        assert_call_orders_agree(g, ref.enumerate_picard(g, 0, 10**6), ref.enumerate_picard(g, 1, 10**6))
+
+
+def test_genus_zero_and_one_edge_cases():
+    k2 = build_graph([("e", "a", "b")], "e")
+    clear_caches()
+    assert representatives(enumerate_picard(k2, 0)) == {Divisor(k2)}
+    assert representatives(enumerate_picard(k2, 2)) == {Divisor(k2, {"b": 2})}
+    digon = build_graph([("e", "a", "b"), ("f", "b", "a")], "e")
+    for order in CALL_ORDERS:
+        got = cleared_in_order(digon, order)
+        assert got["theta"] == {Divisor(digon)}
+        assert got[0] == ref.enumerate_picard(digon, 0, 10**6) and len(got[0]) == 2
+
+
+def test_theta_at_another_base_rebuilds_the_graph_at_most_once(monkeypatch):
+    g = cycle_plus_chords(9, 4, 1)
+    base = next(e for e in g.edge_ids if g.t(e) != g.base_head)
+    expected = ref.theta_among(g, base, representatives(enumerate_picard(g, 0)))
+    calls = []
+    with_base = Multigraph.with_base
+
+    def counting(self, base_edge):
+        calls.append(base_edge)
+        return with_base(self, base_edge)
+
+    monkeypatch.setattr(Multigraph, "with_base", counting)
+    clear_caches()
+    assert representatives(theta_divisor(g, base)) == expected
+    assert len(calls) <= 1
