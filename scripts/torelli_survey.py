@@ -9,10 +9,11 @@ every sampled morphism.
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 from helpers import enumerate_small_graphs, sample_morphisms  # noqa: E402
 

@@ -343,7 +343,7 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         report, code = args.func(args, _max_classes(args))
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args, start)
         return EXIT_INPUT
     except RigidliftError as exc:

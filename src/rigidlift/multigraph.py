@@ -67,10 +67,12 @@ class Multigraph:
 
     @property
     def edge_ids(self):
+        """The edge ids in `id_key` order."""
         return self._edge_ids
 
     @property
     def vertex_ids(self):
+        """The vertex ids in `id_key` order."""
         return self._key[0]
 
     @property
@@ -104,6 +106,8 @@ class Multigraph:
         return self.t(self._base)
 
     def incident(self, v):
+        """A new list of the edges at v in `id_key` order (filled from
+        edge_ids)."""
         return list(self._incidence[v])
 
     def degree(self, v):
@@ -154,6 +158,15 @@ class EdgePath:
     edges: tuple
     signs: tuple
     vertices: tuple
+
+    @classmethod
+    def walk(cls, start, steps):
+        """The path from start along (edge, sign, vertex reached) steps."""
+        return cls(
+            tuple(e for e, _, _ in steps),
+            tuple(s for _, s, _ in steps),
+            (start,) + tuple(w for _, _, w in steps),
+        )
 
     @property
     def is_cycle(self):
@@ -274,13 +287,15 @@ def series_classes(g):
 
     In a bridgeless graph two edges form a cut exactly when they lie on the
     same fundamental cycles, so the classes are the edges of equal
-    signature; an edge on no fundamental cycle is a bridge."""
+    signature; an edge on no fundamental cycle is a bridge.  Each class and
+    the list of classes come out in edge-id order, since edges are met in
+    that order."""
     blocks = {}
     for e, signature in zip(g.edge_ids, cycle_basis(g, None).signatures):
         if not signature:
             raise NotTwoEdgeConnected("series classes require a 2-edge-connected graph")
         blocks.setdefault(signature, []).append(e)
-    return sorted((tuple(b) for b in blocks.values()), key=lambda b: id_key(b[0]))
+    return [tuple(b) for b in blocks.values()]
 
 
 # -- cycles ------------------------------------------------------------------
@@ -295,7 +310,7 @@ def cycle_through_edges(g, a, b, seed=None):
     target = start
 
     def frame(v):
-        candidates = sorted(g.incident(v), key=id_key)
+        candidates = g.incident(v)
         if rng is not None:
             rng.shuffle(candidates)
         return [v, candidates, 0]
@@ -336,10 +351,7 @@ def cycle_through_edges(g, a, b, seed=None):
         stack.append(frame(w))
     if res is None:
         raise NoCommonCycle(f"no simple cycle through {a!r} and {b!r}")
-    edges = tuple(e for e, _, _ in res)
-    signs = tuple(s for _, s, _ in res)
-    verts = (start,) + tuple(w for _, _, w in res)
-    return EdgePath(edges, signs, verts)
+    return EdgePath.walk(start, res)
 
 
 def _greedy_tree(g, order):
@@ -425,13 +437,7 @@ def cycle_basis(g, seed):
         steps = [(e, 1, t)] + tree_steps(t, o)
         for f, _, _ in steps:
             bits[f] |= 1 << len(cycles)
-        cycles.append(
-            EdgePath(
-                tuple(f for f, _, _ in steps),
-                tuple(sign for _, sign, _ in steps),
-                (o,) + tuple(w for _, _, w in steps),
-            )
-        )
+        cycles.append(EdgePath.walk(o, steps))
     return CycleBasis(tuple(cycles), tuple(bits.values()))
 
 
@@ -440,28 +446,53 @@ def fundamental_cycles(g):
     return list(cycle_basis(g, None).cycles)
 
 
-def shortest_path(g, src, dst):
-    """Deterministic BFS path (ties broken by vertex id then edge id)."""
-    prev = {src: None}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for e in sorted(g.incident(v), key=id_key):
-            w = g.other_end(e, v)
-            if w not in prev:
-                prev[w] = (e, v)
+def bfs_tree(g, root):
+    """The breadth-first search tree of g from root as (u, e, w) steps in
+    visiting order: e joins the reached vertex u to the new vertex w.  Each
+    vertex's edges are taken in edge-id order."""
+    steps, seen, queue = [], {root}, [root]
+    for u in queue:
+        for e in g.incident(u):
+            w = g.other_end(e, u)
+            if w not in seen:
+                seen.add(w)
+                steps.append((u, e, w))
                 queue.append(w)
+    return steps
+
+
+def components(g, removed_vertices=(), removed_edges=()):
+    """Vertex -> index of its connected component once the given vertices
+    and edges are removed (removed vertices are left out).  Components are
+    numbered 0, 1, ... in the order of their first vertex in vertex_ids."""
+    comp, count = {}, 0
+    for v in g.vertex_ids:
+        if v in comp or v in removed_vertices:
+            continue
+        comp[v] = count
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for e in g.incident(x):
+                y = g.other_end(e, x)
+                if y in comp or y in removed_vertices or e in removed_edges:
+                    continue
+                comp[y] = count
+                stack.append(y)
+        count += 1
+    return comp
+
+
+def shortest_path(g, src, dst):
+    """Deterministic BFS path: the path from src to dst in bfs_tree(g, src)."""
+    up = {w: (u, e) for u, e, w in bfs_tree(g, src)}
     steps = []
     node = dst
-    while prev[node] is not None:
-        e, v = prev[node]
+    while node != src:
+        u, e = up[node]
         steps.append((e, 1 if g.t(e) == node else -1, node))
-        node = v
-    steps.reverse()
-    edges = tuple(e for e, _, _ in steps)
-    signs = tuple(s for _, s, _ in steps)
-    verts = (src,) + tuple(w for _, _, w in steps)
-    return EdgePath(edges, signs, verts)
+        node = u
+    return EdgePath.walk(src, steps[::-1])
 
 
 # -- arches and Whitney moves ------------------------------------------------
@@ -482,22 +513,7 @@ def find_arches(g):
     arches = []
     for v, w in combinations(g.vertex_ids, 2):
         removed = {v, w}
-        rest = [u for u in g.vertex_ids if u not in removed]
-        comp_of = {}
-        for u in rest:
-            if u in comp_of:
-                continue
-            comp_id = len({c for c in comp_of.values()})
-            stack = [u]
-            comp_of[u] = comp_id
-            while stack:
-                x = stack.pop()
-                for e in g.incident(x):
-                    y = g.other_end(e, x)
-                    if y in removed or y in comp_of:
-                        continue
-                    comp_of[y] = comp_id
-                    stack.append(y)
+        comp_of = components(g, removed_vertices=removed)
         bridges = {}
         for e in g.edge_ids:
             a, b = g.ends(e)

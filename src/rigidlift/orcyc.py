@@ -33,6 +33,7 @@ from .divisor import (
 )
 from .multigraph import (
     Multigraph,
+    bfs_tree,
     biconnectivity,
     cycle_basis,
     id_key,
@@ -98,22 +99,8 @@ class OrCycMorphism:
 
     @cached_property
     def _tree(self):
-        """The breadth-first search tree of the source from t0 = t(base) as
-        (u, e, w) steps in visiting order: e joins the reached vertex u to
-        the new vertex w."""
-        g = self.source
-        steps = []
-        seen = {g.base_head}
-        queue = deque([g.base_head])
-        while queue:
-            u = queue.popleft()
-            for e in g.incident(u):
-                w = g.other_end(e, u)
-                if w not in seen:
-                    seen.add(w)
-                    steps.append((u, e, w))
-                    queue.append(w)
-        return steps
+        """`bfs_tree` of the source from t0 = t(base)."""
+        return bfs_tree(self.source, self.source.base_head)
 
     @cached_property
     def push(self):
@@ -406,7 +393,7 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
     g, h = m.source, m.target
     shift = vertex_divisor(g, g.base_head, g.genus - 1)
     inv = inverse_morphism(m)
-    for v in sorted(h.vertex_ids, key=id_key):
+    for v in h.vertex_ids:
         q = m.rigidity.representative + vertex_divisor(h, v)
         try:
             t = extend_to_nonspecial(h, q)
@@ -531,7 +518,7 @@ def lift_matroid_isomorphism(g, h, edge_map):
     series-fixing automorphisms of the target: `_lift` at the source's first
     edge.  The four criterion-3 predicates agree for a base alone in its
     series class, but a lift may reverse it, so `is_rigid` there decides nothing."""
-    base = min(g.edge_ids, key=id_key)
+    base = g.edge_ids[0]
     _require_bijection(g, h, edge_map, False)
     m = make_morphism(g.with_base(base), h.with_base(edge_map[base]), edge_map)
     _require_genus(m)

@@ -27,7 +27,7 @@ from .divisor import (
     linearly_equivalent,
     q_reduce,
 )
-from .multigraph import id_key
+from .multigraph import components, id_key
 
 
 class EdgeState(enum.Enum):
@@ -255,27 +255,10 @@ def _check_consistent_cycle(u, edges):
 
 def _check_consistent_cut(u, edges):
     edges = set(edges)
-    g = u.graph
     for e in edges:
         if u.state(e) not in _FLIP:
             raise InvalidMove(f"edge {e!r} is not oriented")
-    # Components of the graph with the payload removed.
-    comp = {}
-    for v in g.vertex_ids:
-        if v in comp:
-            continue
-        cid = len(set(comp.values()))
-        stack = [v]
-        comp[v] = cid
-        while stack:
-            x = stack.pop()
-            for e in g.incident(x):
-                if e in edges:
-                    continue
-                y = g.other_end(e, x)
-                if y not in comp:
-                    comp[y] = cid
-                    stack.append(y)
+    comp = components(u.graph, removed_edges=edges)
     side = {}
     for e in edges:
         ct, ch = comp[u.tail(e)], comp[u.head(e)]
@@ -314,14 +297,14 @@ def _oriented_path(u, src, dst):
     (None, the vertices reachable from src)."""
     prev = {src: None}
     arcs_from = {}
-    for tail, head, e in u.arcs():
+    for tail, head, e in u.arcs():  # in edge-id order
         arcs_from.setdefault(tail, []).append((head, e))
     queue = deque([src])
     while queue:
         v = queue.popleft()
         if v == dst:
             break
-        for w, e in sorted(arcs_from.get(v, ()), key=lambda p: id_key(p[1])):
+        for w, e in arcs_from.get(v, ()):
             if w not in prev:
                 prev[w] = (e, v)
                 queue.append(w)
@@ -456,7 +439,7 @@ def _orient_with_indegrees(g, demand):
         queue = deque([v])
         while queue:
             x = queue.popleft()
-            for e in sorted(g.incident(x), key=id_key):
+            for e in g.incident(x):
                 if e in seen_edges:
                     continue
                 seen_edges.add(e)

@@ -629,3 +629,27 @@ class TestCliMalformedInput:
         edge_map = {f"e{i}": f"r{i}" for i in range(1, 7)}
         code, out = run(capsys, ["--no-timings", "rigidity", self.morphism(tmp_path, edge_map)])
         assert code == 2 and out["error"]["type"] == "ValidationError"
+
+    def bad_bytes(self, capsys, argv):
+        """A file that is not valid UTF-8 is malformed input: exit 2, JSON."""
+        code = main(["--no-timings"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "UnicodeDecodeError"
+        assert "Traceback" not in captured.err
+
+    def test_info_on_a_graph_that_is_not_utf8(self, capsys, tmp_path):
+        graph = tmp_path / "bad.graph"
+        graph.write_bytes(b"\xff\xfe")
+        self.bad_bytes(capsys, ["info", str(graph)])
+
+    def test_rigidity_on_a_morphism_file_that_is_not_utf8(self, capsys, tmp_path):
+        morphism = tmp_path / "bad.morphism.json"
+        morphism.write_bytes(b'{"source": "\xff"}')
+        self.bad_bytes(capsys, ["rigidity", str(morphism)])
+
+    def test_lift_matroid_on_a_map_file_that_is_not_utf8(self, capsys, tmp_path):
+        map_file = tmp_path / "map.json"
+        map_file.write_bytes(b"\xfe\xff")
+        graphs = [fixture_path("G.graph"), fixture_path("H.graph")]
+        self.bad_bytes(capsys, ["lift-matroid", *graphs, str(map_file)])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs_isomorphic
-from helpers import brute_force_spanning_trees, catalogue, enumerate_small_graphs
+from helpers import brute_force_spanning_trees, catalogue, enumerate_small_graphs, random_multigraph
 from reference_structure import is_connected
 
 from rigidlift.errors import (
@@ -98,6 +98,36 @@ class TestBuildGraph:
                 [("e1", "a", "b"), ("e2", "b", "a"), ("e3", "c", "d"), ("e4", "d", "c")],
                 "e1",
             )
+
+
+class TestIdOrder:
+    """vertex_ids, edge_ids, incident(v) and the series classes come out in
+    id_key order whatever order the triples are given in."""
+
+    @staticmethod
+    def mixed_ids(g, rng):
+        """A copy of g from shuffled triples, each vertex and edge renamed to
+        an int or a string at random."""
+        vname = {v: i if rng.random() < 0.5 else f"v{i}" for i, v in enumerate(g.vertex_ids)}
+        ename = {e: i if rng.random() < 0.5 else f"e{i}" for i, e in enumerate(g.edge_ids)}
+        triples = [(ename[e], vname[g.o(e)], vname[g.t(e)]) for e in g.edge_ids]
+        rng.shuffle(triples)
+        return build_graph(triples, ename[g.base_edge])
+
+    def test_accessors_and_series_classes_are_in_id_order(self):
+        rng = random.Random(15)
+        two_connected = [self.mixed_ids(g, rng) for g in catalogue() for _ in range(2)]
+        bridged = [self.mixed_ids(random_multigraph(rng), rng) for _ in range(100)]
+        for g in two_connected + bridged:
+            assert g.vertex_ids == tuple(sorted(g.vertices, key=id_key))
+            assert g.edge_ids == tuple(sorted(g.edges, key=id_key))
+            for v in g.vertex_ids:
+                at_v = [e for e in g.edges if v in g.ends(e)]
+                assert g.incident(v) == sorted(at_v, key=id_key)
+        for g in two_connected:
+            blocks = series_classes(g)
+            in_order = sorted((tuple(sorted(b, key=id_key)) for b in blocks), key=lambda b: id_key(b[0]))
+            assert blocks == in_order
 
 
 class TestConnectivity:

@@ -297,6 +297,36 @@ def test_matroid_lift_matches_brute_force():
     assert len(maps) == 2281 and min(outcomes.values()) > 500
 
 
+def test_matroid_lift_matches_brute_force_on_six_vertices():
+    """Past the 5-vertex catalogue: Whitney flips, series transpositions and
+    one composite of each, at every base of 6-vertex chorded cycles, so that
+    the base's series class is transposed too and later anchors are tried."""
+    maps = {}
+    for seed in range(12):
+        for chords in (2, 3):
+            g = cycle_plus_chords(6, chords, seed)
+            for base in g.edge_ids:
+                gb = g.with_base(base)
+                flips = whitney_morphisms(gb, limit=3)
+                swaps = series_transposition_morphisms(gb, limit=2)
+                for m in flips + swaps + [compose(f, s) for f in flips[:1] for s in swaps[:1]]:
+                    # The matroid lift reads no base: one entry per map.
+                    maps.setdefault((m.source.with_base(m.source.edge_ids[0]), m.target, m.edge_map), None)
+    outcomes, anchors_tried = Counter(), Counter()
+    for g, h, pairs in maps:
+        emap = dict(pairs)
+        result = lift_matroid_isomorphism(g, h, emap)
+        liftable = brute_force_lift(g, h, emap) is not None
+        assert isinstance(result, MatroidLift) == liftable
+        if liftable:
+            final = dict(result.edge_map)
+            assert_lift(g, h, emap, {emap[e]: final[e] for e in g.edge_ids}, dict(result.vertex_map))
+        outcomes[liftable] += 1
+        anchors_tried[len(result.tried)] += 1
+    assert len(maps) == 1019 and min(outcomes.values()) > 100
+    assert max(anchors_tried) >= 3
+
+
 def _count_q_reduce(monkeypatch):
     divisor_module = sys.modules["rigidlift.divisor"]
     calls = [0]
