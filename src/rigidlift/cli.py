@@ -29,10 +29,10 @@ from .graphio import (
     fixture_path,
     format_divisor,
     format_orientation,
+    load_edge_map,
     load_graph,
     load_morphism,
     parse_divisor,
-    parse_edge_map,
     parse_orientation,
 )
 from .multigraph import connectivity_profile, id_key, series_classes, spanning_tree_count
@@ -122,14 +122,7 @@ def cmd_rigidity(args, max_classes):
 def cmd_lift_matroid(args, max_classes):
     g = load_graph(args.graph_g)
     h = load_graph(args.graph_h)
-    with open(args.map_file, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {args.map_file}: {exc}") from exc
-    if isinstance(data, dict):
-        data = data.get("edge_map", data)
-    edge_map = parse_edge_map(g, h, data)
+    edge_map = load_edge_map(g, h, args.map_file)
     result = lift_matroid_isomorphism(g, h, edge_map)
     if isinstance(result, MatroidLift):
         report = {
@@ -343,7 +336,7 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         report, code = args.func(args, _max_classes(args))
-    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args, start)
         return EXIT_INPUT
     except RigidliftError as exc:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -15,7 +14,7 @@ from .errors import (
     ValidationError,
     WrongDegree,
 )
-from .multigraph import spanning_tree_count
+from .multigraph import bfs_tree, spanning_tree_count
 
 DEFAULT_MAX_CLASSES = 10**6
 
@@ -132,17 +131,10 @@ def _core(g, q):
         mult[i][j] = mult[i].get(j, 0) + 1
         mult[j][i] = mult[j].get(i, 0) + 1
     nbrs = tuple(tuple(sorted(m.items())) for m in mult)
-    qi = index[q]
-    depth = [-1] * len(index)
-    depth[qi] = 0
-    queue = deque([qi])
-    while queue:
-        i = queue.popleft()
-        for j, _ in nbrs[i]:
-            if depth[j] < 0:
-                depth[j] = depth[i] + 1
-                queue.append(j)
-    return _Core(nbrs, tuple(depth), qi)
+    depth = [0] * len(index)
+    for u, _, w in bfs_tree(g, q):
+        depth[index[w]] = depth[index[u]] + 1
+    return _Core(nbrs, tuple(depth), index[q])
 
 
 def _burn(core, c):

@@ -46,9 +46,27 @@ def parse_graph(text, name="<string>"):
         raise ValidationError(f"{name}: {exc}") from exc
 
 
+def _read(path):
+    """The text of an input file; one not valid UTF-8 is a ParseError naming it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = os.path.basename(path)
+        raise ParseError(f"{name}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+def _read_json(path):
+    """The JSON value of an input file."""
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{os.path.basename(path)}: invalid JSON: {exc}") from exc
+
+
 def load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), name=os.path.basename(path))
+    return parse_graph(_read(path), name=os.path.basename(path))
 
 
 def parse_divisor(g, text):
@@ -115,11 +133,7 @@ def parse_edge_map(g, h, data):
 def load_morphism(path):
     """Load a morphism JSON file; graph paths resolve relative to the file."""
     name = os.path.basename(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{name}: invalid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{name}: expected a JSON object")
     for key in ("source", "target", "edge_map"):
@@ -136,6 +150,15 @@ def load_morphism(path):
     g = load_graph(resolve(data["source"]))
     h = load_graph(resolve(data["target"]))
     return g, h, parse_edge_map(g, h, data["edge_map"])
+
+
+def load_edge_map(g, h, path):
+    """Load an edge map JSON file: the map itself, or an object whose
+    `edge_map` key holds it (so a morphism file also serves)."""
+    data = _read_json(path)
+    if isinstance(data, dict):
+        data = data.get("edge_map", data)
+    return parse_edge_map(g, h, data)
 
 
 def fixture_path(name):

@@ -15,12 +15,7 @@ from functools import lru_cache
 
 from .errors import NonIntegralClass, NotInCycleSpace, ValidationError
 from .divisor import Divisor
-from .multigraph import (
-    fundamental_cycles,
-    id_key,
-    shortest_path,
-    spanning_tree_edges,
-)
+from .multigraph import bfs_tree, fundamental_cycles, id_key, shortest_path
 
 
 class Cochain:
@@ -216,30 +211,20 @@ def integral_lift(g, x):
     """An integer cochain y with project(y) = x, or NonIntegralClass.
 
     y differs from x by a coboundary; a vertex potential is propagated along
-    the deterministic spanning tree so that y vanishes on tree edges, then
+    the breadth-first tree from t(base) so that y vanishes on tree edges, then
     integrality is checked on the remaining edges.
     """
     lat = lattice_for(g)
     if not lat.in_cycle_space(x):
         raise NotInCycleSpace(f"{x!r} is not in the cycle space")
-    tree = set(spanning_tree_edges(g))
     root = g.base_head
     pot = {root: Fraction(0)}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for e in sorted(g.incident(u), key=id_key):
-            if e not in tree:
-                continue
-            w = g.other_end(e, u)
-            if w in pot:
-                continue
-            # enforce y(e) = x(e) + pot[t(e)] - pot[o(e)] = 0
-            if g.t(e) == w:
-                pot[w] = pot[u] - x[e]
-            else:
-                pot[w] = pot[u] + x[e]
-            stack.append(w)
+    for u, e, w in bfs_tree(g, root):
+        # enforce y(e) = x(e) + pot[t(e)] - pot[o(e)] = 0
+        if g.t(e) == w:
+            pot[w] = pot[u] - x[e]
+        else:
+            pot[w] = pot[u] + x[e]
     coeffs = {}
     for e in g.edge_ids:
         y = x[e] + pot[g.t(e)] - pot[g.o(e)]

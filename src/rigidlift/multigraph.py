@@ -209,7 +209,7 @@ def build_graph(edge_list, base_edge):
     if base_edge not in edges:
         raise MissingBaseEdge(f"base edge {base_edge!r} not among edges")
     g = Multigraph(vertices, edges, base_edge)
-    if len(spanning_tree_edges(g)) != len(g.vertices) - 1:
+    if len(bfs_tree(g, g.base_tail)) != len(g.vertices) - 1:
         raise Disconnected("underlying graph is not connected")
     return g
 
@@ -354,64 +354,30 @@ def cycle_through_edges(g, a, b, seed=None):
     return EdgePath.walk(start, res)
 
 
-def _greedy_tree(g, order):
-    """Spanning tree built by adding the edges of `order` that join two
-    components."""
-    parent = {v: v for v in g.vertex_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for e in order:
-        u, v = g.ends(e)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append(e)
-    return tree
-
-
-def spanning_tree_edges(g):
-    """Deterministic spanning tree: greedily add lowest edge ids."""
-    return _greedy_tree(g, g.edge_ids)
-
-
 class CycleBasis(NamedTuple):
     """Fundamental cycles of one spanning tree, one per non-tree edge in
-    edge-id order, and each edge's GF(2) signature (aligned with
-    `edge_ids`): the bitmask of the fundamental cycles that contain it."""
+    edge-id order; each edge's GF(2) signature (aligned with `edge_ids`):
+    the bitmask of the fundamental cycles that contain it; and the tree as
+    its `bfs_tree` steps."""
 
     cycles: tuple
     signatures: tuple
+    tree: tuple
 
 
 @lru_cache(maxsize=256)
 def cycle_basis(g, seed):
-    """The fundamental cycles and edge signatures of g.  The spanning tree is
-    built greedily in edge-id order when `seed` is None, else in a shuffle
-    of that order drawn from `seed`; pass `seed` positionally, so that one
-    graph has one cache entry.  Each cycle crosses its non-tree edge e
-    tail-to-head and returns from t(e) to o(e) through the tree."""
-    order = list(g.edge_ids)
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-    tree = set(_greedy_tree(g, order))
-    root = g.vertex_ids[0]
-    up = {root: None}  # vertex -> (tree edge to its parent, parent)
+    """The fundamental cycles, edge signatures and spanning tree of g.  The
+    tree is `bfs_tree` from t(base) when `seed` is None, else from a vertex
+    drawn from `seed`; pass `seed` positionally, so that one graph has one
+    cache entry.  Each cycle crosses its non-tree edge e tail-to-head and
+    returns from t(e) to o(e) through the tree."""
+    root = g.base_head if seed is None else random.Random(seed).choice(g.vertex_ids)
+    tree = tuple(bfs_tree(g, root))
+    up = {w: (e, u) for u, e, w in tree}  # vertex -> (tree edge to its parent, parent)
     depth = {root: 0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for e in g.incident(v):
-            w = g.other_end(e, v)
-            if e in tree and w not in up:
-                up[w] = (e, v)
-                depth[w] = depth[v] + 1
-                stack.append(w)
+    for u, _, w in tree:
+        depth[w] = depth[u] + 1
 
     def tree_steps(src, dst):
         """(edge, sign, vertex reached) along the tree path src -> dst."""
@@ -428,21 +394,22 @@ def cycle_basis(g, seed):
                 b = p
         return rising + falling[::-1]
 
+    tree_edges = {e for _, e, _ in tree}
     cycles = []
     bits = dict.fromkeys(g.edge_ids, 0)
     for e in g.edge_ids:
-        if e in tree:
+        if e in tree_edges:
             continue
         o, t = g.ends(e)
         steps = [(e, 1, t)] + tree_steps(t, o)
         for f, _, _ in steps:
             bits[f] |= 1 << len(cycles)
         cycles.append(EdgePath.walk(o, steps))
-    return CycleBasis(tuple(cycles), tuple(bits.values()))
+    return CycleBasis(tuple(cycles), tuple(bits.values()), tree)
 
 
 def fundamental_cycles(g):
-    """genus(g) independent simple cycles from the deterministic spanning tree."""
+    """genus(g) independent simple cycles from the breadth-first tree at t(base)."""
     return list(cycle_basis(g, None).cycles)
 
 

@@ -33,7 +33,6 @@ from .divisor import (
 )
 from .multigraph import (
     Multigraph,
-    bfs_tree,
     biconnectivity,
     cycle_basis,
     id_key,
@@ -98,25 +97,21 @@ class OrCycMorphism:
         return self.sign_dict[e]
 
     @cached_property
-    def _tree(self):
-        """`bfs_tree` of the source from t0 = t(base)."""
-        return bfs_tree(self.source, self.source.base_head)
-
-    @cached_property
     def push(self):
         """phi_* on divisors: a function d -> D on the target with phi_*[d] = [D].
 
-        p_v is the integer chain of the search-tree path from t0 = t(base) to v,
-        so [v - t0] = [boundary p_v].  A signed permutation that carries the
-        cycle lattice onto itself also carries the cut lattice onto itself, so
-        phi_*[boundary y] = [boundary phi_*(y)] for every integer chain y.  With
+        p_v is the integer chain of the path from t0 = t(base) to v in the
+        source's breadth-first tree (`cycle_basis`), so [v - t0] = [boundary
+        p_v].  A signed permutation that carries the cycle lattice onto itself
+        also carries the cut lattice onto itself, so phi_*[boundary y] =
+        [boundary phi_*(y)] for every integer chain y.  With
         img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)];
         img(v) is kept as (target vertex index, coefficient) pairs."""
         g, h = self.source, self.target
         emap, sgn = self.edge_dict, self.sign_dict
         index = h.vertex_index
         img = {g.base_head: ()}
-        for u, e, w in self._tree:
+        for u, e, w in cycle_basis(g, None).tree:
             c = sgn[e] if g.t(e) == w else -sgn[e]
             r = emap[e]
             img[w] = img[u] + ((index[h.t(r)], c), (index[h.o(r)], -c))
@@ -156,7 +151,7 @@ class OrCycMorphism:
     def vertex_image(self):
         """Source vertex p -> the target vertex r with phi_*[p] = [r], or None.
 
-        A walk down the search tree from t0, whose image is t0'.  Across an
+        A walk down the tree of `push` from t0, whose image is t0'.  Across an
         edge u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
         c [t(r) - o(r)], so if u goes to the end of r that this step leaves,
         w goes to the other end.  Otherwise push(w) is q-reduced once.  In a
@@ -167,7 +162,7 @@ class OrCycMorphism:
         g, h = self.source, self.target
         emap, sgn = self.edge_dict, self.sign_dict
         image = {g.base_head: h.base_head}
-        for u, e, w in self._tree:
+        for u, e, w in cycle_basis(g, None).tree:
             r = emap[e]
             forward = (g.t(e) == w) == (sgn[e] == 1)
             left, entered = (h.o(r), h.t(r)) if forward else (h.t(r), h.o(r))
@@ -223,8 +218,8 @@ def compute_signs(g, h, edge_map, seed=None):
     unknown eps_C = +-1.  The signs spread from the base across cycles that
     share an edge; they reach every edge iff the cycle matroid of g is
     connected, which for 3 or more vertices is g being 2-connected (Whitney).
-    A base on no cycle raises NoCommonCycle.  `seed` shuffles the edge order
-    that builds the spanning tree; the answer does not depend on it."""
+    A base on no cycle raises NoCommonCycle.  `seed` roots the spanning
+    tree at a vertex drawn from it; the answer does not depend on it."""
     if g.genus != h.genus:
         raise InvalidCyclicBijection("source and target genera differ")
     ratios = []

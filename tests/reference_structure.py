@@ -11,7 +11,7 @@ from itertools import combinations
 
 from rigidlift.divisor import Divisor, DivisorClass, vertex_divisor
 from rigidlift.errors import InternalError, MorphismNotRigid, NotTwoEdgeConnected
-from rigidlift.multigraph import EdgePath, cycle_through_edges, id_key, spanning_tree_edges
+from rigidlift.multigraph import EdgePath, bfs_tree, cycle_through_edges, id_key
 from rigidlift.orcyc import (
     _require_genus,
     _traverse_edge_subset_cycle,
@@ -136,7 +136,7 @@ def tree_path(g, tree, src, dst):
 
 
 def fundamental_cycles(g):
-    tree = set(spanning_tree_edges(g))
+    tree = {e for _, e, _ in bfs_tree(g, g.base_head)}
     cycles = []
     for e in g.edge_ids:
         if e in tree:

@@ -631,11 +631,14 @@ class TestCliMalformedInput:
         assert code == 2 and out["error"]["type"] == "ValidationError"
 
     def bad_bytes(self, capsys, argv):
-        """A file that is not valid UTF-8 is malformed input: exit 2, JSON."""
+        """A file that is not valid UTF-8 is malformed input: exit 2, JSON,
+        a ParseError that names the file (the last argument)."""
         code = main(["--no-timings"] + argv)
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.out)["error"]["type"] == "UnicodeDecodeError"
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(os.path.basename(argv[-1]) + ":")
         assert "Traceback" not in captured.err
 
     def test_info_on_a_graph_that_is_not_utf8(self, capsys, tmp_path):

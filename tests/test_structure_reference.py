@@ -5,7 +5,7 @@ against a brute force over vertex bijections (tests/helpers.py)."""
 
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 
 import pytest
@@ -117,10 +117,77 @@ def test_series_classes_match_reference(g):
     assert series_classes(g) == expected
 
 
+def _signature_partition(g, seed):
+    """(the classes of edges of equal non-zero signature, the bridges)."""
+    classes = {}
+    for e, signature in zip(g.edge_ids, cycle_basis(g, seed).signatures):
+        classes.setdefault(signature, set()).add(e)
+    bridges = frozenset(classes.pop(0, ()))
+    return {frozenset(c) for c in classes.values()}, bridges
+
+
+def assert_seeded_bases_partition_like_the_default(g):
+    """Whichever vertex a seed roots the tree at, the basis has genus closed
+    simple cycles and the same series classes and bridges."""
+    expected = _signature_partition(g, None)
+    for seed in range(10):
+        cycles = cycle_basis(g, seed).cycles
+        assert len(cycles) == g.genus
+        for cyc in cycles:
+            assert cyc.is_cycle and len(set(cyc.vertices)) == len(cyc.edges)
+            for e, (a, b) in zip(cyc.edges, zip(cyc.vertices, cyc.vertices[1:])):
+                assert {a, b} == set(g.ends(e))
+        assert _signature_partition(g, seed) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=graphs())
 def test_fundamental_cycles_match_reference(g):
     assert fundamental_cycles(g) == ref.fundamental_cycles(g)
+    assert_seeded_bases_partition_like_the_default(g)
+
+
+def _bfs_distances(g, root):
+    dist, queue = {root: 0}, deque([root])
+    while queue:
+        v = queue.popleft()
+        for e in g.incident(v):
+            w = g.other_end(e, v)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def assert_shortest_path_tree(g):
+    """cycle_basis(g, None).tree is a shortest-path tree from t(base), and
+    each fundamental cycle is no longer than its edge plus two shortest
+    paths from t(base)."""
+    dist = _bfs_distances(g, g.base_head)
+    basis = cycle_basis(g, None)
+    reached = {g.base_head}
+    for u, e, w in basis.tree:
+        assert set(g.ends(e)) == {u, w} and u in reached and w not in reached
+        assert dist[w] == dist[u] + 1
+        reached.add(w)
+    assert reached == g.vertices
+    tree_edges = {e for _, e, _ in basis.tree}
+    for cyc in basis.cycles:
+        e = cyc.edges[0]
+        assert e not in tree_edges and cyc.signs[0] == 1
+        assert len(cyc.edges) <= dist[g.o(e)] + dist[g.t(e)] + 1
+
+
+def test_cycle_basis_tree_is_a_shortest_path_tree_on_the_catalogue():
+    for g in catalogue():
+        for base in g.edge_ids:
+            assert_shortest_path_tree(g.with_base(base))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_cycle_basis_tree_is_a_shortest_path_tree(g):
+    assert_shortest_path_tree(g)
 
 
 def test_bowtie_is_two_edge_connected_with_a_cut_vertex():
@@ -325,6 +392,44 @@ def test_matroid_lift_matches_brute_force_on_six_vertices():
         anchors_tried[len(result.tried)] += 1
     assert len(maps) == 1019 and min(outcomes.values()) > 100
     assert max(anchors_tried) >= 3
+
+
+def _lift_past_the_first_anchor():
+    """The first Whitney flip of a 6-vertex chorded cycle, at some base,
+    whose matroid lift is found at its second anchor or later."""
+    for seed in range(12):
+        g = cycle_plus_chords(6, 3, seed)
+        for base in g.edge_ids:
+            for m in whitney_morphisms(g.with_base(base), limit=3):
+                result = lift_matroid_isomorphism(m.source, m.target, m.edge_dict)
+                if isinstance(result, MatroidLift) and len(result.tried) >= 2:
+                    return m.source, m.target, m.edge_dict
+    raise AssertionError("no lift past the first anchor")
+
+
+def test_lift_walks_the_source_once_however_many_anchors_it_tries(monkeypatch):
+    """phi_* and the vertex images of every anchored morphism read the
+    source's one cached tree: a lift found past its first anchor walks the
+    source once, for the cycle basis of its sign walk."""
+    g, h, emap = _lift_past_the_first_anchor()
+    source = g.with_base(g.edge_ids[0])
+    walks = []
+    for name in ("rigidlift.multigraph", "rigidlift.orcyc", "rigidlift.divisor"):
+        module = sys.modules[name]
+        original = getattr(module, "bfs_tree", None)
+        if original is not None:
+
+            def counting(graph, root, original=original):
+                walks.append(graph == source)
+                return original(graph, root)
+
+            monkeypatch.setattr(module, "bfs_tree", counting)
+    cycle_basis.cache_clear()
+    divisor_module = sys.modules["rigidlift.divisor"]
+    divisor_module._core.cache_clear()
+    result = lift_matroid_isomorphism(g, h, emap)
+    assert isinstance(result, MatroidLift) and len(result.tried) >= 2
+    assert walks.count(True) == 1
 
 
 def _count_q_reduce(monkeypatch):
