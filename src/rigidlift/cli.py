@@ -19,7 +19,6 @@ from .errors import (
 )
 from .divisor import (
     DEFAULT_MAX_CLASSES,
-    Classification,
     classify_gminus1,
     is_effective_class,
     q_reduce,
@@ -38,7 +37,6 @@ from .graphio import (
 from .multigraph import connectivity_profile, id_key, series_classes, spanning_tree_count
 from .orientation import (
     AcyclicWitness,
-    NotPartiallyOrientable,
     PartialOrientation,
     chern_class,
     effectiveness_certificate,
@@ -205,7 +203,7 @@ def cmd_orient(args, max_classes):
 
 def cmd_selftest(args, max_classes):
     """Reproduce the shipped fixture analyses and verify every claim."""
-    from .divisor import Divisor, DivisorClass, enumerate_picard
+    from .divisor import Divisor, enumerate_picard
     from .orientation import base_orientation
     from .orcyc import pushforward_class, theta_preserved
 

@@ -288,9 +288,9 @@ class DivisorClass:
         return f"DivisorClass({self.representative!r}, deg={self.degree})"
 
 
-def abel_jacobi(g, points, base_edge=None):
+def abel_jacobi(g, points):
     """Class of sum(points) - n * t(base edge)."""
-    t0 = g.with_base(base_edge).base_head if base_edge is not None else g.base_head
+    t0 = g.base_head
     coeffs = {}
     n = 0
     for p in points:
@@ -473,43 +473,25 @@ def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
     return frozenset(out)
 
 
-@lru_cache(maxsize=256)
-def _theta_cached(g, t0):
-    """Θ at the vertex t0, for t0 = t(some base edge).
-
-    At t0 = t(base of g) = q it is the prefix |s| <= g - 1 of g's certified
-    search (`_Search`), cut before the top level |s| = g, which it never
-    burns.  At any other t0, c + (g - 1) t0 is effective iff
-    c + (g - 1)(t0 - q) + (g - 1) q is, so Θ at t0 is Θ at q translated by
-    -(g - 1)(t0 - q): one q-reduction per class, no Pic^0."""
-    theta = _search(g).theta_classes()
-    if t0 == g.base_head:
-        return theta
-    shift = Divisor(g, {t0: g.genus - 1, g.base_head: 1 - g.genus})
-    return frozenset(c - shift for c in theta)
+def in_theta(g, cls):
+    """Whether the class cls on g lies in Θ at q = t(base of g): deg(cls) = 0
+    and cls + (g - 1) q is effective.  The representative is reduced at q, so
+    no q-reduction is needed."""
+    d = cls.representative + vertex_divisor(g, g.base_head, g.genus - 1)
+    return cls.degree == 0 and d.is_effective
 
 
-def in_theta(g, cls, base_edge=None):
-    """Whether the class cls on g lies in Θ at t0 = t(base_edge), by default
-    t(base of g): deg(cls) = 0 and cls + (g - 1) t0 is effective.  One
-    q-reduction, none at t(base of g), where the representative is reduced."""
-    t0 = g.with_base(base_edge).base_head if base_edge is not None else g.base_head
-    d = cls.representative + vertex_divisor(g, t0, g.genus - 1)
-    return cls.degree == 0 and (d.is_effective if t0 == g.base_head else is_effective_class(g, d))
-
-
-def theta_divisor(g, base_edge=None, max_classes=DEFAULT_MAX_CLASSES):
-    """Degree-0 classes c with c + (g-1)t(base) effective (the theta divisor),
-    base defaulting to g's own.  At g's own base it is the |s| <= g - 1 prefix
-    of g's one certified search, which Pic^0 later resumes; at any other base
-    it is that prefix translated.  Cached per (graph, t(base)).  Raises
+def theta_divisor(g, max_classes=DEFAULT_MAX_CLASSES):
+    """Degree-0 classes c with c + (g-1)t(base) effective (the theta divisor):
+    the |s| <= g - 1 prefix of g's one certified search, which Pic^0 later
+    resumes.  Θ at another edge e is theta_divisor(g.with_base(e)).  Raises
     EnumerationBoundExceeded when |Pic^0| exceeds max_classes, as
     enumerate_picard(g, 0, max_classes) would, on a cache hit too."""
     if g.genus < 1:
         raise GenusTooSmall("theta divisor needs genus >= 1")
-    t0 = g.with_base(base_edge).base_head if base_edge is not None else g.base_head
-    _search(g).check_bound(max_classes)
-    return _theta_cached(g, t0)
+    search = _search(g)
+    search.check_bound(max_classes)
+    return search.theta_classes()
 
 
 class Classification(enum.Enum):

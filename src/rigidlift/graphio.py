@@ -8,7 +8,7 @@ import os
 
 from .errors import ParseError, RigidliftError, ValidationError
 from .divisor import Divisor
-from .multigraph import build_graph, id_key
+from .multigraph import build_graph
 from .orientation import EdgeState, PartialOrientation
 
 
@@ -130,6 +130,15 @@ def parse_edge_map(g, h, data):
     return data
 
 
+def _parse_edge_map_of(g, h, data, name):
+    """parse_edge_map on the edge map of the file `name`, whose faults then
+    start with that name."""
+    try:
+        return parse_edge_map(g, h, data)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
 def load_morphism(path):
     """Load a morphism JSON file; graph paths resolve relative to the file."""
     name = os.path.basename(path)
@@ -149,7 +158,7 @@ def load_morphism(path):
 
     g = load_graph(resolve(data["source"]))
     h = load_graph(resolve(data["target"]))
-    return g, h, parse_edge_map(g, h, data["edge_map"])
+    return g, h, _parse_edge_map_of(g, h, data["edge_map"], name)
 
 
 def load_edge_map(g, h, path):
@@ -158,7 +167,7 @@ def load_edge_map(g, h, path):
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("edge_map", data)
-    return parse_edge_map(g, h, data)
+    return _parse_edge_map_of(g, h, data, os.path.basename(path))
 
 
 def fixture_path(name):

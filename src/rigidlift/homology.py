@@ -175,23 +175,21 @@ def lattice_equivalent(lat, x, y):
     return lat.lattice_equivalent(x, y)
 
 
-def p_vertex(g, v, base_edge=None):
+def p_vertex(g, v):
     """P_v: projected algebraic path from t(base edge) to v."""
-    t0 = g.t(base_edge) if base_edge is not None else g.base_head
     lat = lattice_for(g)
-    return lat.project(path_cochain(g, shortest_path(g, t0, v)))
+    return lat.project(path_cochain(g, shortest_path(g, g.base_head, v)))
 
 
-def iota(g, d, base_edge=None):
+def iota(g, d):
     """Bridge Pic -> (cycle space mod lattice, degree).
 
     Pairs the negative chips of d - (deg d) * t(base) with the positive ones
     and sums the projected algebraic paths from each negative to its positive
     partner.  The cochain is well defined modulo the lattice.
     """
-    t0 = g.t(base_edge) if base_edge is not None else g.base_head
     n = d.degree
-    shifted = d - Divisor(g, {t0: n})
+    shifted = d - Divisor(g, {g.base_head: n})
     positives, negatives = [], []
     for v in sorted(g.vertex_ids, key=id_key):
         c = shifted[v]
@@ -235,11 +233,10 @@ def integral_lift(g, x):
     return Cochain(g, coeffs)
 
 
-def iota_inverse(g, x, k, base_edge=None):
+def iota_inverse(g, x, k):
     """Bridge (cycle space, degree) -> divisor: k*t(base) + sum a_l (t(l)-o(l))."""
-    t0 = g.t(base_edge) if base_edge is not None else g.base_head
     y = integral_lift(g, x)
-    coeffs = {t0: k}
+    coeffs = {g.base_head: k}
     for e, a in y.items():
         a = int(a)
         coeffs[g.t(e)] = coeffs.get(g.t(e), 0) + a

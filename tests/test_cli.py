@@ -656,3 +656,33 @@ class TestCliMalformedInput:
         map_file.write_bytes(b"\xfe\xff")
         graphs = [fixture_path("G.graph"), fixture_path("H.graph")]
         self.bad_bytes(capsys, ["lift-matroid", *graphs, str(map_file)])
+
+    def edge_map_faults(self, capsys, argv_for):
+        """An edge map that is not an object of strings, and one that is not
+        a bijection, exit 2 with an error that starts with the file's name."""
+        faults = (
+            ({"e1": ["r1"]}, "ParseError", "edge_map must be a JSON object of edge id strings"),
+            ({f"e{i}": f"r{i}" for i in range(1, 7)}, "ValidationError", "edge_map is not a bijection"),
+        )
+        for edge_map, kind, message in faults:
+            argv = argv_for(edge_map)
+            code = main(["--no-timings"] + argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            error = json.loads(captured.out)["error"]
+            assert error["type"] == kind
+            assert error["message"].startswith(f"{os.path.basename(argv[-1])}: {message}")
+            assert "Traceback" not in captured.err
+
+    def test_morphism_edge_map_faults_name_the_file(self, capsys, tmp_path):
+        self.edge_map_faults(capsys, lambda edge_map: ["rigidity", self.morphism(tmp_path, edge_map)])
+
+    def test_map_file_faults_name_the_file(self, capsys, tmp_path):
+        map_file = tmp_path / "m.json"
+        graphs = [fixture_path("G.graph"), fixture_path("H.graph")]
+
+        def argv_for(edge_map):
+            map_file.write_text(json.dumps({"edge_map": edge_map}))
+            return ["lift-matroid", *graphs, str(map_file)]
+
+        self.edge_map_faults(capsys, argv_for)

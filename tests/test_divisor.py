@@ -24,8 +24,8 @@ from rigidlift.divisor import (
     theta_divisor,
     vertex_divisor,
 )
-from rigidlift.divisor import _theta_cached
-from rigidlift.errors import EnumerationBoundExceeded, MissingBaseEdge, ValidationError, WrongDegree
+from rigidlift.divisor import _search
+from rigidlift.errors import EnumerationBoundExceeded, ValidationError, WrongDegree
 from rigidlift.multigraph import build_graph, spanning_tree_count
 
 
@@ -179,10 +179,6 @@ class TestAbelJacobi:
         for pts in (["v1"], ["v1", "v4"], ["v2", "v2", "v3"]):
             assert abel_jacobi(J, pts).degree == 0
 
-    def test_unknown_base_edge_is_refused(self, G):
-        with pytest.raises(MissingBaseEdge):
-            abel_jacobi(G, ["v3"], base_edge="nope")
-
 
 class TestTheta:
     def test_fixture_sizes(self, G, H, J, K):
@@ -199,13 +195,13 @@ class TestTheta:
             assert (c in theta) == expected
 
     def test_cache_is_bounded_and_an_immediate_repeat_hits(self):
-        maxsize = _theta_cached.cache_info().maxsize
+        maxsize = _search.cache_info().maxsize
         for i in range(maxsize + 10):
             g = build_graph([("a", f"p{i}", "q"), ("b", "q", f"p{i}"), ("c", "q", f"p{i}")], "a")
             theta_divisor(g)
-            hits = _theta_cached.cache_info().hits
+            hits = _search.cache_info().hits
             theta_divisor(g)
-            info = _theta_cached.cache_info()
+            info = _search.cache_info()
             assert info.hits == hits + 1
             assert info.currsize <= maxsize
 
@@ -223,12 +219,6 @@ class TestTheta:
         # Genus 0: no degree-0 class c has c - t0 effective.
         path = build_graph([("a", "p", "q"), ("b", "q", "r")], "a")
         assert not in_theta(path, DivisorClass(path, Divisor(path)))
-
-    def test_in_theta_refuses_an_unknown_base_edge(self, J):
-        with pytest.raises(MissingBaseEdge):
-            in_theta(J, next(iter(theta_divisor(J))), base_edge="nope")
-        with pytest.raises(MissingBaseEdge):
-            theta_divisor(J, base_edge="nope")
 
 
 def acyclic_orientations_with_unique_source(g, q):

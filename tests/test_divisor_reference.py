@@ -21,7 +21,7 @@ from rigidlift.divisor import (
     theta_divisor,
 )
 from rigidlift.errors import EnumerationBoundExceeded, ValidationError
-from rigidlift.multigraph import Multigraph, build_graph, spanning_tree_count
+from rigidlift.multigraph import build_graph, spanning_tree_count
 
 
 @st.composite
@@ -110,22 +110,24 @@ def test_picard_matches_reference(g, data):
 @given(g=graphs(), data=st.data())
 def test_theta_matches_reference(g, data):
     base = data.draw(st.sampled_from((g.base_edge,) + g.edge_ids))
-    assert representatives(theta_divisor(g, base)) == ref.theta_divisor(g, base, 10**6)
+    g = g.with_base(base)
+    assert representatives(theta_divisor(g)) == ref.theta_divisor(g, base, 10**6)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_in_theta_matches_reference(g, data):
-    base = data.draw(st.sampled_from((None,) + g.edge_ids))
-    expected = ref.theta_divisor(g, base if base is not None else g.base_edge, 10**6)
+    base = data.draw(st.sampled_from((g.base_edge,) + g.edge_ids))
+    g = g.with_base(base)
+    expected = ref.theta_divisor(g, base, 10**6)
     for c in enumerate_picard(g, 0):
-        assert in_theta(g, c, base) == (c.representative in expected)
-    assert not any(in_theta(g, c, base) for c in enumerate_picard(g, data.draw(st.sampled_from((-1, 1)))))
+        assert in_theta(g, c) == (c.representative in expected)
+    assert not any(in_theta(g, c) for c in enumerate_picard(g, data.draw(st.sampled_from((-1, 1)))))
 
 
 def clear_caches():
-    """Forget every cached search, Theta and core."""
-    for cache in (divisor_module._search, divisor_module._theta_cached, divisor_module._core):
+    """Forget every cached search and core."""
+    for cache in (divisor_module._search, divisor_module._core):
         cache.cache_clear()
 
 
@@ -154,9 +156,10 @@ def test_bound_raises_exactly_when_reference_does(g, data):
         assert len(enumerate_picard(g, 0, bound)) == tau
     assert bound_error(enumerate_picard, g, 0, bound) == bound_error(ref.enumerate_picard, g, 0, bound)
     base = data.draw(st.sampled_from((g.base_edge,) + g.edge_ids))
+    g = g.with_base(base)
     expected = bound_error(ref.theta_divisor, g, base, bound)
     assert (expected is not None) == (tau > bound)
-    assert bound_error(theta_divisor, g, base, bound) == expected
+    assert bound_error(theta_divisor, g, bound) == expected
 
 
 @pytest.mark.parametrize("bound", [-1, 0, 1, 2])
@@ -168,7 +171,7 @@ def test_tiny_bounds_raise_as_the_reference_does(bound):
         assert expected is not None
         assert bound_error(enumerate_picard, g, 0, bound) == expected
         theta_expected = bound_error(ref.theta_divisor, g, g.base_edge, bound)
-        assert bound_error(theta_divisor, g, g.base_edge, bound) == theta_expected
+        assert bound_error(theta_divisor, g, bound) == theta_expected
 
 
 def test_bounds_hold_on_a_cache_hit():
@@ -179,8 +182,10 @@ def test_bounds_hold_on_a_cache_hit():
         assert len(enumerate_picard(g, 0)) == tau and len(theta_divisor(g)) > 0
         assert bound_error(enumerate_picard, g, 0, tau - 1) == (tau - 1, tau)
         assert bound_error(enumerate_picard, g, 1, tau - 1) == (tau - 1, tau)
-        assert bound_error(theta_divisor, g, None, tau - 1) == (tau - 1, tau)
-        assert bound_error(theta_divisor, g, g.edge_ids[-1], tau - 1) == (tau - 1, tau)
+        assert bound_error(theta_divisor, g, tau - 1) == (tau - 1, tau)
+        rebased = g.with_base(g.edge_ids[-1])
+        assert len(theta_divisor(rebased)) > 0
+        assert bound_error(theta_divisor, rebased, tau - 1) == (tau - 1, tau)
         assert bound_error(ref.enumerate_picard, g, 0, tau - 1) == (tau - 1, tau)
 
 
@@ -238,21 +243,23 @@ def test_picard_and_theta_ladder_match_reference(name):
     has spanning_tree_count(g) classes, so the enumeration is all of Pic^d
     (as ref.enumerate_picard would list it) when it returns that many
     distinct divisors of degree d that the reference q_reduce leaves fixed.
-    Theta is then the reference filter on the checked Pic^0, computed once
-    per base head."""
+    Theta at the edge e is that of g.with_base(e): the reference filter on
+    that graph's own Pic^0, checked the same way."""
     g = LADDER[name]
-    q0, tau = g.base_head, spanning_tree_count(g)
-    for degree in (0, 1, g.genus - 1, -2):
+    tau = spanning_tree_count(g)
+
+    def checked_picard(g, degree):
         reps = representatives(enumerate_picard(g, degree))
         assert len(reps) == tau
-        assert all(d.degree == degree and ref.q_reduce(g, d, q0) == d for d in reps)
-    pic0 = representatives(enumerate_picard(g, 0))
-    expected = {}
+        assert all(d.degree == degree and ref.q_reduce(g, d, g.base_head) == d for d in reps)
+        return reps
+
+    for degree in (1, g.genus - 1, -2):
+        checked_picard(g, degree)
     for e in g.edge_ids:
-        t0 = g.t(e)
-        if t0 not in expected:
-            expected[t0] = ref.theta_among(g, e, pic0)
-        assert representatives(theta_divisor(g, e)) == expected[t0]
+        rebased = g.with_base(e)
+        expected = ref.theta_among(rebased, e, checked_picard(rebased, 0))
+        assert representatives(theta_divisor(rebased)) == expected
 
 
 THETA_RUNGS = {
@@ -329,7 +336,6 @@ def test_search_burns_about_once_per_class(name, monkeypatch):
         classes = enumerate_picard(g, 0)
         assert len(burnt) <= 1.5 * len(classes)
         pic0_burns = len(burnt)
-        divisor_module._theta_cached.cache_clear()
         burnt.clear()
         theta_divisor(g)
         assert not burnt
@@ -396,20 +402,3 @@ def test_genus_zero_and_one_edge_cases():
         got = cleared_in_order(digon, order)
         assert got["theta"] == {Divisor(digon)}
         assert got[0] == ref.enumerate_picard(digon, 0, 10**6) and len(got[0]) == 2
-
-
-def test_theta_at_another_base_rebuilds_the_graph_at_most_once(monkeypatch):
-    g = cycle_plus_chords(9, 4, 1)
-    base = next(e for e in g.edge_ids if g.t(e) != g.base_head)
-    expected = ref.theta_among(g, base, representatives(enumerate_picard(g, 0)))
-    calls = []
-    with_base = Multigraph.with_base
-
-    def counting(self, base_edge):
-        calls.append(base_edge)
-        return with_base(self, base_edge)
-
-    monkeypatch.setattr(Multigraph, "with_base", counting)
-    clear_caches()
-    assert representatives(theta_divisor(g, base)) == expected
-    assert len(calls) <= 1
