@@ -114,6 +114,7 @@ def laplacian_fire(g, script):
 
 class _Core(NamedTuple):
     nbrs: tuple  # per index: ((neighbour index, edge multiplicity), ...)
+    degree: tuple  # per index: total edge multiplicity to neighbours
     depth: tuple  # per index: BFS distance from q
     q: int  # index of q
 
@@ -122,7 +123,7 @@ class _Core(NamedTuple):
 def _core(g, q):
     """The vertex-indexed view of g rooted at q that reduction, burning and
     enumeration work on: index i is g.vertex_ids[i]; neighbour lists with
-    edge multiplicities and BFS depths from q."""
+    edge multiplicities, degrees and BFS depths from q."""
     index = g.vertex_index
     mult = [{} for _ in index]
     for e in g.edge_ids:
@@ -134,7 +135,8 @@ def _core(g, q):
     depth = [0] * len(index)
     for u, _, w in bfs_tree(g, q):
         depth[index[w]] = depth[index[u]] + 1
-    return _Core(nbrs, tuple(depth), index[q])
+    degree = tuple(sum(m for _, m in ns) for ns in nbrs)
+    return _Core(nbrs, degree, tuple(depth), index[q])
 
 
 def _burn(core, c):
@@ -331,36 +333,28 @@ def _certify(core, s):
     return order, room
 
 
-def _superstables(core, nodes, max_size, frontier=None):
-    """Grow the certified superstable search on V - q from `nodes`, a stack
-    of search nodes (s, room, first, |s|) whose children are still to be
-    grown, each with |s| < max_size (room None: not burnt yet).  Yield
-    (s, |s|) for each superstable child s with |s| <= max_size, as a list
-    indexed like core (s[q] = 0; the caller must not modify it).  A child of
-    size max_size is not grown; it goes to `frontier` when one is given, so
-    a later call can resume the search from it.  `_Search` runs it once per
-    graph: Θ is the cut at g - 1, Pic^0 resumes from Θ's frontier, and
-    every Pic^d is a translate of Pic^0.
+def _grow(core, level):
+    """The next level of the certified superstable search on V - q.  `level`
+    holds the search nodes (s, room, first) of the superstables s with
+    |s| = k: s is a list indexed like core with s[q] = 0, room its `_certify`
+    room (None: not burnt yet) and first the vertex index of its last chip.
+    Returns the nodes of the superstables with |s| = k + 1 as a new list;
+    `level` and its lists are left unchanged.
 
-    Superstables form an order ideal, so a depth-first search from the zero
-    configuration reaches each one once, from its canonical parent: s minus
-    one chip on its last non-zero vertex.  Each node carries its `_certify`
-    room; a child s + e_i with room[i] > 0 is superstable by the parent's
-    burn order and inherits that room less one at i, so only the other
-    children are burnt.  A child with s[i] + 1 >= deg(i) can never burn and
-    is skipped outright."""
-    nbrs, qi = core.nbrs, core.q
+    Superstables form an order ideal, so growing level by level from the
+    zero configuration reaches each one once, from its canonical parent: s
+    minus one chip on its last non-zero vertex.  A child s + e_i with
+    room[i] > 0 is superstable by the parent's burn order and inherits that
+    room less one at i, so only the other children are burnt.  A child with
+    s[i] + 1 >= deg(i) can never burn and is skipped outright."""
+    nbrs, degree, qi = core.nbrs, core.degree, core.q
     n = len(nbrs)
-    others = [i for i in range(n) if i != qi]
-    degree = [sum(m for _, m in nbrs[i]) for i in range(n)]
-    while nodes:
-        s, room, first, size = nodes.pop()
+    out = []
+    for s, room, first in level:
         if room is None:
             room = _certify(core, s)[1]
-        size += 1
-        for p in range(first, len(others)):
-            i = others[p]
-            if s[i] + 1 >= degree[i]:
+        for i in range(first, n):
+            if i == qi or s[i] + 1 >= degree[i]:
                 continue
             child = s.copy()
             child[i] += 1
@@ -371,42 +365,40 @@ def _superstables(core, nodes, max_size, frontier=None):
                 order, child_room = _certify(core, child)
                 if len(order) < n:
                     continue
-            yield child, size
-            if size < max_size:
-                nodes.append((child, child_room, p, size))
-            elif frontier is not None:
-                frontier.append((child, child_room, p, size))
+            out.append((child, child_room, i))
+    return out
 
 
-def _class_of(g, qi, s, degree, size):
-    """The class whose representative reduced at q (index qi) is
-    s + (degree - size) q, for a superstable s of size |s| = size."""
+def _class_of(g, qi, s, size):
+    """The degree-0 class s - size q (q at index qi), for a superstable s of
+    size |s| = size: its representative is reduced at q."""
     rep = s.copy()
-    rep[qi] = degree - size
+    rep[qi] = -size
     return DivisorClass._of_reduced(g, Divisor._of(g, rep))
 
 
 class _Search:
     """The certified superstable search of g at q = t(base of g), one per
-    graph (see `_search`).  With tau = |Pic^0| (the spanning-tree count):
+    graph (see `_search`), grown one level |s| at a time by `_grow` from
+    level 0, the zero configuration.  At q each degree-0 class is s - |s| q
+    for one superstable s, with |s| <= g.  tau = |Pic^0| (the spanning-tree
+    count), and each other field is set only once it is wholly computed:
 
-    - `theta` is Θ at q, the classes s - |s| q with |s| <= g - 1: at q a
-      degree-0 class is s - |s| q for a superstable s, and s + (g - 1 - |s|) q
-      is also q-reduced, so c + (g - 1) q is effective iff |s| <= g - 1.
-      `frontier` holds the search nodes of size g - 1, whose children the
-      cut at g - 1 does not grow.
-    - `pic0` is Pic^0: `theta` plus the top level |s| = g, grown from the
-      frontier by the same child rule, so it burns only configurations of
-      size g and builds only |Pic^0| - |Θ| new classes.  The frontier is then
-      dropped.  Asked for first, Pic^0 grows Θ on the way."""
+    - `theta` is Θ at q, the classes of levels 0 to g - 1: s + (g - 1 - |s|) q
+      is also q-reduced, so s - |s| q + (g - 1) q is effective iff
+      |s| <= g - 1.  `top` keeps the nodes of level g - 1.
+    - `pic0` is Pic^0: `theta` plus the classes of level g, grown from `top`,
+      so it burns only configurations of size g and builds only
+      |Pic^0| - |Θ| new classes.  `top` is then dropped.  Asked for first,
+      Pic^0 grows Θ on the way."""
 
-    __slots__ = ("graph", "core", "tau", "theta", "frontier", "pic0")
+    __slots__ = ("graph", "core", "tau", "theta", "top", "pic0")
 
     def __init__(self, g):
         self.graph = g
         self.core = _core(g, g.base_head)
         self.tau = spanning_tree_count(g)
-        self.theta = self.frontier = self.pic0 = None
+        self.theta = self.top = self.pic0 = None
 
     def check_bound(self, max_classes):
         """Raise EnumerationBoundExceeded, with the limit and reached count
@@ -420,24 +412,20 @@ class _Search:
         if self.theta is None:
             g, core = self.graph, self.core
             zero = [0] * len(core.nbrs)
-            root = (zero, None, 0, 0)
-            nodes, self.frontier = ([root], []) if g.genus > 1 else ([], [root])
-            found = _superstables(core, nodes, g.genus - 1, self.frontier)
-            self.theta = frozenset([_class_of(g, core.q, zero, 0, 0)]).union(
-                _class_of(g, core.q, s, 0, size) for s, size in found
-            )
+            level, classes = [(zero, None, 0)], [_class_of(g, core.q, zero, 0)]
+            for size in range(1, g.genus):
+                level = _grow(core, level)
+                classes.extend(_class_of(g, core.q, s, size) for s, _, _ in level)
+            self.theta, self.top = frozenset(classes), level
         return self.theta
 
     def pic0_classes(self):
         if self.pic0 is None:
+            theta = self.theta_classes()
             g, core = self.graph, self.core
-            if g.genus == 0:
-                self.pic0 = frozenset([_class_of(g, core.q, [0] * len(core.nbrs), 0, 0)])
-            else:
-                theta = self.theta_classes()
-                top = _superstables(core, list(self.frontier), g.genus)
-                self.pic0 = theta.union(_class_of(g, core.q, s, 0, size) for s, size in top)
-            self.frontier = None
+            level = _grow(core, self.top)
+            self.pic0 = theta.union(_class_of(g, core.q, s, g.genus) for s, _, _ in level)
+            self.top = None
         return self.pic0
 
 
@@ -453,12 +441,13 @@ def enumerate_picard(g, degree, max_classes=DEFAULT_MAX_CLASSES):
 
     With q = t(base edge), the q-reduced divisors of degree d are exactly
     s + (d - |s|) q for the superstable configurations s on V - q, and
-    |s| <= g for each of them.  Pic^0 is g's one certified superstable search
-    (`_Search`): Θ, its prefix |s| <= g - 1, then the top level resumed from
-    Θ's frontier, about one Dhar burn per class and no q-reduction.  Pic^d is
-    Pic^0 translated by d q, with no burn.  Raises EnumerationBoundExceeded
-    when |Pic^d| (the spanning-tree count) is over max(max_classes, 1), as a
-    search stopped at the first class over that bound would."""
+    |s| <= g for each of them.  Pic^0 is the levels |s| = 0, ..., g of g's
+    one certified superstable search (`_Search`): Θ's levels 0 to g - 1, then
+    level g grown from Θ's top level, about one Dhar burn per class and no
+    q-reduction.  Pic^d is Pic^0 translated by d q, with no burn.  Raises
+    EnumerationBoundExceeded when |Pic^d| (the spanning-tree count) is over
+    max(max_classes, 1), as a search stopped at the first class over that
+    bound would."""
     search = _search(g)
     search.check_bound(max_classes)
     pic0 = search.pic0_classes()
@@ -483,8 +472,8 @@ def in_theta(g, cls):
 
 def theta_divisor(g, max_classes=DEFAULT_MAX_CLASSES):
     """Degree-0 classes c with c + (g-1)t(base) effective (the theta divisor):
-    the |s| <= g - 1 prefix of g's one certified search, which Pic^0 later
-    resumes.  Θ at another edge e is theta_divisor(g.with_base(e)).  Raises
+    the levels |s| = 0, ..., g - 1 of g's one certified search, whose level g
+    Pic^0 adds.  Θ at another edge e is theta_divisor(g.with_base(e)).  Raises
     EnumerationBoundExceeded when |Pic^0| exceeds max_classes, as
     enumerate_picard(g, 0, max_classes) would, on a cache hit too."""
     if g.genus < 1:

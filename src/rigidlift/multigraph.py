@@ -465,15 +465,12 @@ def shortest_path(g, src, dst):
 # -- arches and Whitney moves ------------------------------------------------
 
 
-def _side_vertices(g, edge_set):
-    verts = set()
-    for e in edge_set:
-        verts.update(g.ends(e))
-    return verts
-
-
 def find_arches(g):
-    """All arches, found by testing every 2-vertex separator."""
+    """All arches, found by testing every 2-vertex separator {v, w}.  In a
+    2-connected graph every component of g - {v, w} meets both v and w, so
+    a union of bridges at {v, w} spans at least 3 vertices exactly when it
+    holds a component's bridge: the arches there are the unions in which
+    both the union and its complement hold one."""
     two_conn, _ = biconnectivity(g)
     if not two_conn:
         raise NotTwoConnected("arches require a 2-connected graph")
@@ -481,26 +478,27 @@ def find_arches(g):
     for v, w in combinations(g.vertex_ids, 2):
         removed = {v, w}
         comp_of = components(g, removed_vertices=removed)
-        bridges = {}
+        bridges, direct = {}, []
         for e in g.edge_ids:
-            a, b = g.ends(e)
-            inner = [u for u in (a, b) if u not in removed]
+            inner = [u for u in g.ends(e) if u not in removed]
             if inner:
-                bridges.setdefault(("comp", comp_of[inner[0]]), set()).add(e)
+                bridges.setdefault(comp_of[inner[0]], set()).add(e)
             else:
-                bridges.setdefault(("direct", e), set()).add(e)
+                direct.append({e})
         parts = list(bridges.values())
-        if len(parts) < 2:
+        k = len(parts)
+        if k < 2:
             continue
-        n = len(parts)
-        for mask in range(1, (1 << n) - 1):
-            x = set()
-            for i in range(n):
-                if mask & (1 << i):
-                    x |= parts[i]
-            comp = set(g.edge_ids) - x
-            if len(_side_vertices(g, x)) < 3 or len(_side_vertices(g, comp)) < 3:
+        parts += direct
+        all_bridges = (1 << k) - 1
+        for mask in range(1, 1 << len(parts)):
+            if not 0 < mask & all_bridges < all_bridges:
                 continue
+            x = set()
+            for i, part in enumerate(parts):
+                if mask & (1 << i):
+                    x |= part
+            comp = set(g.edge_ids) - x
             arches.append(Arch(frozenset(x), (v, w), frozenset(comp)))
     return sorted(
         arches,

@@ -21,10 +21,9 @@ from .errors import (
 )
 from .divisor import (
     Divisor,
+    DivisorClass,
     all_vertices_divisor,
     dhar_burn_order,
-    is_effective_class,
-    linearly_equivalent,
     q_reduce,
 )
 from .multigraph import components, id_key
@@ -391,19 +390,21 @@ def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
             f"(expected {expected})"
         )
     test = d + all_vertices_divisor(g)
-    if not is_effective_class(g, test):
-        return NotPartiallyOrientable(test, q_reduce(g, test, g.base_head))
+    test_class = DivisorClass(g, test)
+    if not test_class.is_effective:
+        return NotPartiallyOrientable(test, test_class.representative)
     if not x:
         gamma = base_orientation(g)
         delta = d - chern_class(gamma)
         return torsor_act(g, delta, gamma)
+    target = DivisorClass(g, d)
     free = [e for e in g.edge_ids if e not in x]
     for choice in product((EdgeState.FORWARD, EdgeState.BACKWARD), repeat=len(free)):
         states = dict(zip(free, choice))
         u = PartialOrientation(g, states)
-        if linearly_equivalent(g, chern_class(u), d):
+        if DivisorClass(g, chern_class(u)) == target:
             return u
-    return NotPartiallyOrientable(test, q_reduce(g, test, g.base_head), True)
+    return NotPartiallyOrientable(test, test_class.representative, True)
 
 
 # -- effectiveness certificates ----------------------------------------------

@@ -278,3 +278,25 @@ def vertex_image(m):
         p: vertex_of_class.get(DivisorClass(h, push(vertex_divisor(g, p))))
         for p in g.vertex_ids
     }
+
+
+def find_arches(g):
+    """Every proper edge subset whose vertex set meets its complement's in
+    exactly two tips, each side spanning at least 3 vertices, sorted as
+    `multigraph.find_arches` sorts them.  Subsets are bit masks over
+    g.edge_ids; a vertex lies on a side when one of its edges does."""
+    edges = g.edge_ids
+    full = (1 << len(edges)) - 1
+    incident = {v: 0 for v in g.vertex_ids}
+    for i, e in enumerate(edges):
+        for u in g.ends(e):
+            incident[u] |= 1 << i
+    arches = []
+    for mask in range(1, full):
+        x_verts = [v for v in g.vertex_ids if incident[v] & mask]
+        comp_verts = [v for v in g.vertex_ids if incident[v] & ~mask & full]
+        tips = tuple(v for v in x_verts if v in comp_verts)
+        if len(tips) == 2 and len(x_verts) >= 3 and len(comp_verts) >= 3:
+            x = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+            arches.append((tips, x, frozenset(edges) - x))
+    return sorted(arches, key=lambda a: ([id_key(t) for t in a[0]], sorted(id_key(e) for e in a[1])))

@@ -303,8 +303,8 @@ def theta_rung(shape, seed):
 
 
 # Certificate burns of Theta alone on theta_rung(THETA_RUNGS[name], seed)
-# for seeds 0-9, as the search cut at |s| = g - 1 made them before Pic^0
-# resumed from its frontier.
+# for seeds 0-9: the burns that grow levels |s| = 0 to g - 1 of the search,
+# before Pic^0 grows level g from Theta's top level.
 THETA_BURNS = {
     "W5": (36, 37, 38, 39, 39, 37, 37, 40, 39, 41),
     "W6": (113, 111, 116, 117, 124, 113, 126, 126, 102, 107),
@@ -347,6 +347,53 @@ def test_search_burns_about_once_per_class(name, monkeypatch):
         burnt.clear()
         assert enumerate_picard(g, 0) == classes
         assert set(burnt) == {g.genus} and theta_burns + len(burnt) == pic0_burns
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["W5", "cc6+4"])
+def test_interrupted_search_leaves_nothing_half_built(name, monkeypatch):
+    """A search stopped part way by an error, in Theta or in Pic^0 after
+    Theta, leaves no half-built state behind: once the error is gone, Theta
+    and Pic^0 equal the reference."""
+    g = theta_rung(THETA_RUNGS[name], 0)
+    theta = ref.theta_divisor(g, g.base_edge, 10**6)
+    pic0 = ref.enumerate_picard(g, 0, 10**6)
+    certify = divisor_module._certify
+
+    def search(after_theta, limit=None):
+        """Clear the caches and grow Theta if after_theta; then run Pic^0
+        (after_theta) or Theta with `_certify` raising Interrupted at its
+        call number `limit`.  Returns the number of calls made."""
+        clear_caches()
+        if after_theta:
+            theta_divisor(g)
+        calls = 0
+
+        def failing(core, s):
+            nonlocal calls
+            if calls == limit:
+                raise Interrupted
+            calls += 1
+            return certify(core, s)
+
+        monkeypatch.setattr(divisor_module, "_certify", failing)
+        try:
+            enumerate_picard(g, 0) if after_theta else theta_divisor(g)
+        finally:
+            monkeypatch.setattr(divisor_module, "_certify", certify)
+        return calls
+
+    for after_theta in (False, True):
+        burns = search(after_theta)
+        assert burns > 2
+        for limit in (0, 1, burns // 2, burns - 1):
+            with pytest.raises(Interrupted):
+                search(after_theta, limit)
+            assert representatives(theta_divisor(g)) == theta
+            assert representatives(enumerate_picard(g, 0)) == pic0
 
 
 def cleared_in_order(g, order):

@@ -190,6 +190,26 @@ def test_cycle_basis_tree_is_a_shortest_path_tree(g):
     assert_shortest_path_tree(g)
 
 
+def _arch_graphs():
+    """The 2-connected graphs of at most 12 edges among the catalogue,
+    300 random multigraphs, and k parallel edges beside two 2-edge paths
+    between the same two vertices."""
+    rng = random.Random(0)
+    candidates = list(catalogue()) + [random_multigraph(rng) for _ in range(300)]
+    paths = [("a1", "u", "a"), ("a2", "a", "v"), ("b1", "u", "b"), ("b2", "b", "v")]
+    for k in range(1, 5):
+        candidates.append(build_graph([(f"p{i}", "u", "v") for i in range(k)] + paths, "a1"))
+    return [g for g in candidates if len(g.edge_ids) <= 12 and biconnectivity(g)[0]]
+
+
+def test_find_arches_matches_brute_force():
+    graphs = _arch_graphs()
+    assert len(graphs) > 200
+    for g in graphs:
+        found = [(a.tips, a.edges, a.complement) for a in find_arches(g)]
+        assert found == ref.find_arches(g)
+
+
 def test_bowtie_is_two_edge_connected_with_a_cut_vertex():
     triangle = cycle_plus_chords(3, 0, 0)
     g = glued(triangle, triangle, bridge=False)
