@@ -78,7 +78,7 @@ def parse_divisor(g, text):
     for tok in tokens:
         if ":" not in tok:
             raise ParseError(f"bad divisor token {tok!r}; expected <vertex>:<int>")
-        v, _, c = tok.partition(":")
+        v, _, c = tok.rpartition(":")
         if v not in g.vertices:
             raise ValidationError(f"vertex {v!r} not in graph")
         try:
@@ -103,7 +103,7 @@ def parse_orientation(g, text):
     for tok in tokens:
         if ":" not in tok:
             raise ParseError(f"bad orientation token {tok!r}; expected <edge>:<F|B|U|X>")
-        e, _, s = tok.partition(":")
+        e, _, s = tok.rpartition(":")
         if not g.has_edge(e):
             raise ValidationError(f"edge {e!r} not in graph")
         try:

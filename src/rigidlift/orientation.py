@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -61,11 +60,17 @@ class PartialOrientation:
         self._states = full
         self._hash = hash((graph, tuple(full[e] for e in graph.edge_ids)))
 
+    @classmethod
+    def _of_heads(cls, graph, head):
+        """The orientation pointing each edge of `head` at head[e]; every
+        other edge is unoriented."""
+        return cls(
+            graph,
+            {e: EdgeState.FORWARD if graph.t(e) == h else EdgeState.BACKWARD for e, h in head.items()},
+        )
+
     def state(self, e):
         return self._states[e]
-
-    def states(self):
-        return dict(self._states)
 
     def sgn(self, e):
         s = self._states[e]
@@ -150,11 +155,7 @@ def base_orientation(g):
 def orientation_from_order(g, order):
     """Acyclic full orientation: each edge points at its later endpoint."""
     pos = {v: i for i, v in enumerate(order)}
-    states = {}
-    for e in g.edge_ids:
-        o, t = g.ends(e)
-        states[e] = EdgeState.FORWARD if pos[o] < pos[t] else EdgeState.BACKWARD
-    return PartialOrientation(g, states)
+    return PartialOrientation._of_heads(g, {e: max(g.ends(e), key=pos.__getitem__) for e in g.edge_ids})
 
 
 def chern_class(u, allow_bioriented=False):
@@ -291,47 +292,44 @@ def apply_move(u, move):
 # -- torsor action and lifting -----------------------------------------------
 
 
-def _oriented_path(u, src, dst):
-    """(edges of an oriented path src -> dst, None), or, if there is none,
-    (None, the vertices reachable from src)."""
-    prev = {src: None}
-    arcs_from = {}
-    for tail, head, e in u.arcs():  # in edge-id order
-        arcs_from.setdefault(tail, []).append((head, e))
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            break
-        for w, e in arcs_from.get(v, ()):
+def _reverse_path(g, head, src, stop):
+    """Breadth-first search from src along oriented edges, each vertex's
+    edges in `g.incident` order; `head` maps each oriented edge to its head
+    and has no entry for an unoriented one.  At the first vertex x taken
+    from the queue with stop(x), reverse the path src -> x in `head` and
+    return (x, None); if there is none, return (None, the vertices reached).
+    The one search behind the torsor action and the in-degree flow."""
+    prev = {src: None}  # vertex -> the edge it was reached by
+    queue = [src]
+    for x in queue:
+        if stop(x):
+            node = x
+            while prev[node] is not None:
+                e = prev[node]
+                node = g.other_end(e, node)
+                head[e] = node
+            return x, None
+        for e in g.incident(x):
+            w = head.get(e, x)  # x itself unless e is oriented away from x
             if w not in prev:
-                prev[w] = (e, v)
+                prev[w] = e
                 queue.append(w)
-    if dst not in prev:
-        return None, set(prev)
-    path = []
-    node = dst
-    while prev[node] is not None:
-        e, v = prev[node]
-        path.append(e)
-        node = v
-    path.reverse()
-    return path, None
+    return None, set(prev)
 
 
 def torsor_act(g, d, u):
     """Act on a full orientation by a degree-0 divisor via cut/path reversals.
 
-    The result has Chern class linearly equivalent to chern_class(u) + d;
-    path reversals shift the class by exactly p - q, while the cut reversals
-    used to create those paths shift it by principal divisors.
+    The result has Chern class linearly equivalent to chern_class(u) + d.
+    For each pair (p, q) of a chip of d and an antichip, `_reverse_path`
+    reverses an oriented path p -> q, which shifts the class by exactly
+    p - q; while there is none, the directed cut around the vertices
+    reached from p is reversed, which fires that set and shifts the class
+    by a principal divisor.  The work is done on one head map.
     """
     if not u.is_full:
         raise InvalidMove("torsor action requires a full orientation")
-    if isinstance(d, Divisor):
-        dd = d
-    else:
-        dd = d.representative
+    dd = d if isinstance(d, Divisor) else d.representative
     if dd.degree != 0:
         raise DegreeMismatch("torsor action requires a degree-0 divisor")
     positives, negatives = [], []
@@ -340,27 +338,23 @@ def torsor_act(g, d, u):
             positives.extend([v] * c)
         else:
             negatives.extend([v] * (-c))
+    head = {e: u.head(e) for e in g.edge_ids}
     bound = max(1, len(g.vertices) * len(g.edge_ids))
     for p, q in zip(positives, negatives):
         steps = 0
         while True:
-            path, reach = _oriented_path(u, p, q)
-            if path is not None:
+            _, reach = _reverse_path(g, head, p, lambda x: x == q)
+            if reach is None:
                 break
-            cut = [
-                e
-                for e in g.edge_ids
-                if (g.o(e) in reach) != (g.t(e) in reach)
-            ]
+            cut = [e for e in g.edge_ids if (g.o(e) in reach) != (g.t(e) in reach)]
             if not cut:
                 raise InternalError("no cut available; graph disconnected?")
-            u = u.reverse_edges(cut)
+            for e in cut:
+                head[e] = g.other_end(e, head[e])
             steps += 1
             if steps > bound:
                 raise InternalError("torsor action failed to terminate")
-        # Reversing an oriented path p -> q shifts the Chern class by p - q.
-        u = u.reverse_edges(path)
-    return u
+    return PartialOrientation._of_heads(g, head)
 
 
 @dataclass(frozen=True)
@@ -399,11 +393,14 @@ def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
         return torsor_act(g, delta, gamma)
     target = DivisorClass(g, d)
     free = [e for e in g.edge_ids if e not in x]
-    for choice in product((EdgeState.FORWARD, EdgeState.BACKWARD), repeat=len(free)):
-        states = dict(zip(free, choice))
-        u = PartialOrientation(g, states)
-        if DivisorClass(g, chern_class(u)) == target:
-            return u
+    index = g.vertex_index
+    # Every choice of heads, t(e) (forward) before o(e), as chern_class sums them.
+    for heads in product(*((g.t(e), g.o(e)) for e in free)):
+        coeffs = [-1] * len(index)
+        for h in heads:
+            coeffs[index[h]] += 1
+        if DivisorClass(g, Divisor._of(g, coeffs)) == target:
+            return PartialOrientation._of_heads(g, dict(zip(free, heads)))
     return NotPartiallyOrientable(test, test_class.representative, True)
 
 
@@ -426,50 +423,23 @@ def _orient_with_indegrees(g, demand):
     """Partial orientation with prescribed in-degree per vertex, or None.
 
     Each edge may be oriented toward one of its endpoints or left unoriented;
-    solved as a unit-capacity flow (edges -> vertices)."""
-    verts = list(g.vertex_ids)
-    need = {v: demand[v] for v in verts}
-    if any(n < 0 for n in need.values()):
+    solved as a unit-capacity flow (edges -> vertices).  Each unit of demand
+    at v is one `_reverse_path` from v to the first vertex x with a free
+    (unoriented) edge, whose first free edge is then pointed at x."""
+    if any(demand[v] < 0 for v in g.vertex_ids):
         return None
-    assign = {}  # edge -> chosen head
+    head = {}
 
-    def augment(v):
-        """Find an augmenting path giving v one more in-edge."""
-        seen_edges = set()
-        parent = {v: None}  # vertex -> (edge used to reach it)
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for e in g.incident(x):
-                if e in seen_edges:
-                    continue
-                seen_edges.add(e)
-                if e not in assign:
-                    # Orient the free edge toward x, then walk back along the
-                    # alternating path, re-pointing each stolen edge at the
-                    # vertex it was explored from.
-                    assign[e] = x
-                    node = x
-                    while parent[node] is not None:
-                        pe = parent[node]
-                        prev = g.other_end(pe, node)
-                        assign[pe] = prev
-                        node = prev
-                    return True
-                other = assign[e]
-                if other != x and other not in parent:
-                    parent[other] = e
-                    queue.append(other)
-        return False
+    def has_free_edge(x):
+        return any(e not in head for e in g.incident(x))
 
-    for v in verts:
-        for _ in range(need[v]):
-            if not augment(v):
+    for v in g.vertex_ids:
+        for _ in range(demand[v]):
+            x, _ = _reverse_path(g, head, v, has_free_edge)
+            if x is None:
                 return None
-    states = {}
-    for e, head in assign.items():
-        states[e] = EdgeState.FORWARD if g.t(e) == head else EdgeState.BACKWARD
-    return PartialOrientation(g, states)
+            head[next(e for e in g.incident(x) if e not in head)] = x
+    return PartialOrientation._of_heads(g, head)
 
 
 def _effective_representatives(g, reduced):

@@ -107,6 +107,34 @@ class TestOrientationFormat:
             parse_orientation(K, "zz:F")
 
 
+class TestColonIds:
+    """The graph format accepts ids containing `:`; a divisor or orientation
+    token splits at its last `:`."""
+
+    GRAPH = "edge e:1 a:x b\nedge e:2 b c:y\nedge e:3 c:y a:x\nedge e:4 a:x b\nbase e:1\n"
+
+    def test_divisor_and_orientation_round_trip(self):
+        g = parse_graph(self.GRAPH)
+        d = Divisor(g, {"a:x": 2, "c:y": -1})
+        assert format_divisor(d) == "div a:x:2 c:y:-1"
+        assert parse_divisor(g, format_divisor(d)) == d
+        u = base_orientation(g).with_states({"e:1": EdgeState.BACKWARD, "e:2": EdgeState.UNORIENTED})
+        assert format_orientation(u) == "orient e:1:B e:2:U e:3:F e:4:F"
+        assert parse_orientation(g, format_orientation(u)) == u
+
+    def test_orient_chern_and_liftdiv(self, capsys, tmp_path):
+        path = tmp_path / "colon.graph"
+        path.write_text(self.GRAPH)
+        code, out = run(capsys, ["--no-timings", "orient", str(path), "chern", "e:1:F e:2:F e:3:F e:4:B"])
+        assert code == 0
+        assert out["chern_class"] == "div a:x:1"
+        code, out = run(capsys, ["--no-timings", "orient", str(path), "liftdiv", "c:y:1"])
+        assert code == 0
+        g = parse_graph(self.GRAPH)
+        assert parse_divisor(g, out["chern_class"]).degree == 1
+        assert format_orientation(parse_orientation(g, out["orientation"])) == out["orientation"]
+
+
 class TestCliInfo:
     def test_info_reports_invariants(self, capsys):
         code, out = run(capsys, ["--no-timings", "info", fixture_path("G.graph")])

@@ -1,0 +1,61 @@
+"""Source hygiene of the library modules, read with `ast`: every imported
+name is used, and every module-level private function is referenced
+somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rigidlift"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_read(tree):
+    """Every bare name and attribute name the module mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"divisor.py", "orientation.py", "graphio.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    assert sorted(imported - _names_read(tree)) == []
+
+
+def test_every_private_function_is_referenced():
+    trees = {p.name: _tree(p) for p in SRC.glob("*.py")}
+    referenced = set().union(*map(_names_read, trees.values()))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {a.name for a in node.names}
+    unreferenced = [
+        f"{p.name}:{node.name}"
+        for p in MODULES
+        for node in trees[p.name].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
