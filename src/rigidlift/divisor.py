@@ -19,6 +19,18 @@ from .multigraph import bfs_tree, spanning_tree_count
 DEFAULT_MAX_CLASSES = 10**6
 
 
+def _integer(c, what):
+    """c as an int.  A value that is not an integer raises ValidationError
+    instead of being truncated; 2.0 and Fraction(4, 2) are integers."""
+    try:
+        k = int(c)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != c:
+        raise ValidationError(f"{what} {c!r} is not an integer")
+    return k
+
+
 class Divisor:
     """An integer-valued function on the vertices of a fixed graph, held as
     one coefficient per vertex in `graph.vertex_ids` order."""
@@ -31,7 +43,7 @@ class Divisor:
         for v, c in (coeffs or {}).items():
             if v not in index:
                 raise ValidationError(f"vertex {v!r} not in graph")
-            vector[index[v]] = int(c)
+            vector[index[v]] = _integer(c, "coefficient")
         self.graph = graph
         self.vector = tuple(vector)
 
@@ -69,7 +81,7 @@ class Divisor:
         return Divisor._of(self.graph, (-c for c in self.vector))
 
     def __rmul__(self, k):
-        k = int(k)
+        k = _integer(k, "multiplier")
         return Divisor._of(self.graph, (k * c for c in self.vector))
 
     def _check(self, other):
@@ -106,6 +118,7 @@ def laplacian_fire(g, script):
     for v, times in script.items():
         if v not in index:
             raise ValidationError(f"vertex {v!r} not in graph")
+        times = _integer(times, "firing count")
         for e in g.incident(v):
             out[index[g.other_end(e, v)]] += times
             out[index[v]] -= times

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     BaseNotPreserved,
@@ -28,6 +29,7 @@ from .divisor import (
     Divisor,
     DivisorClass,
     in_theta,
+    q_reduce,
     theta_divisor,
     vertex_divisor,
 )
@@ -361,12 +363,45 @@ def is_rigid(m):
 
 
 def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
-    """Independent check: push every theta class and compare to the target."""
+    """Whether phi_* carries Θ of the source onto Θ of the target, each at
+    its own q = t(base), with both enumerated under max_classes.
+
+    phi_* is a group isomorphism Pic^0(G) -> Pic^0(H), so phi_*Θ_G = Θ_H iff
+    |Θ_G| = |Θ_H| and phi_*Θ_G lies in Θ_H.  That test needs |V(G)|
+    reductions, not one per class.  Let R_v be the q-reduced form of
+    phi_*(v - t0) (R_t0 = 0); it is >= 0 off q, so w_v = -R_v(q) >= 0.  A
+    class of Θ_G is s - |s| t0 for a superstable s, and it goes to the class
+    of D = sum s(v) R_v + (g - 1) q less (g - 1) q.  D is >= 0 off q and
+    D(q) = g - 1 - sum s(v) w_v, so when that sum is at most g - 1, D is
+    effective and the image lies in Θ_H; otherwise D is reduced once at q.
+    Θ_G is a frozenset: where a False answer stops depends on its hash, the
+    answer does not."""
     _require_genus(m)
     g, h = m.source, m.target
     theta_g = theta_divisor(g, max_classes=max_classes)
-    theta_h = theta_divisor(h, max_classes=max_classes)
-    return {DivisorClass(h, m.push(c.representative)) for c in theta_g} == theta_h
+    if len(theta_g) != len(theta_divisor(h, max_classes=max_classes)):
+        return False
+    q, t0 = h.base_head, g.vertex_index[g.base_head]
+    qi, n = h.vertex_index[q], len(g.vertex_ids)
+    reduced = []  # R_v in source vertex order
+    for i in range(n):
+        if i == t0:
+            reduced.append((0,) * len(h.vertex_ids))
+        else:
+            unit = [0] * n
+            unit[i], unit[t0] = 1, -1
+            reduced.append(q_reduce(h, m.push(Divisor._of(g, unit)), q).vector)
+    columns = list(zip(*reduced))  # columns[j][i] = R_v(j), v the i-th source vertex
+    weight = [-a for a in columns[qi]]
+    slack = g.genus - 1
+    for c in theta_g:
+        s = c.representative.vector
+        if sum(map(mul, s, weight)) > slack:
+            d = [sum(map(mul, s, column)) for column in columns]
+            d[qi] += slack
+            if q_reduce(h, Divisor._of(h, d), q).vector[qi] < 0:
+                return False
+    return True
 
 
 def s1_image_preserved(m):

@@ -4,12 +4,13 @@ max-flows that rescan a capacity dict, series classes by testing every
 pair of edges for a cut, fundamental cycles by a breadth-first search in
 the spanning tree, signs from one cycle through the base per edge, and
 the lift to a graph isomorphism that rebuilds phi_* and the vertex-class
-table on every call and grows the vertex map edge by edge."""
+table on every call and grows the vertex map edge by edge, and Θ
+preservation as a comparison of the two enumerated Θ sets."""
 
 from collections import deque
 from itertools import combinations
 
-from rigidlift.divisor import Divisor, DivisorClass, vertex_divisor
+from rigidlift.divisor import Divisor, DivisorClass, theta_divisor, vertex_divisor
 from rigidlift.errors import InternalError, MorphismNotRigid, NotTwoEdgeConnected
 from rigidlift.multigraph import EdgePath, bfs_tree, cycle_through_edges, id_key
 from rigidlift.orcyc import (
@@ -208,6 +209,15 @@ def s1_image_preserved(m):
     push = pushforward(m)
     src = {DivisorClass(h, push(vertex_divisor(g, v))) for v in g.vertices}
     return src == {DivisorClass(h, vertex_divisor(h, w)) for w in h.vertices}
+
+
+def theta_preserved(m):
+    """Push every class of Θ of the source, reduce each image into a class
+    of the target, and compare the set with Θ of the target."""
+    _require_genus(m)
+    g, h = m.source, m.target
+    push = pushforward(m)
+    return {DivisorClass(h, push(c.representative)) for c in theta_divisor(g)} == theta_divisor(h)
 
 
 def lift_to_graph_isomorphism(m):

@@ -1,4 +1,5 @@
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,32 @@ class TestDivisorArithmetic:
             kd = canonical_divisor(g)
             assert kd.degree == 2 * g.genus - 2
             assert all(kd[v] == g.degree(v) - 2 for v in g.vertex_ids)
+
+
+class TestIntegerCoefficients:
+    """A coefficient, firing count or multiplier that is not an integer is
+    refused, not truncated; integral floats and fractions are accepted."""
+
+    @pytest.mark.parametrize("c", [1.9, Fraction(5, 2), "3", "x", None, float("nan")])
+    def test_divisor_refuses_a_non_integral_coefficient(self, K, c):
+        with pytest.raises(ValidationError):
+            Divisor(K, {"w1": c})
+
+    @pytest.mark.parametrize("times", [0.5, Fraction(1, 2), "1"])
+    def test_firing_refuses_a_non_integral_count(self, K, times):
+        with pytest.raises(ValidationError):
+            laplacian_fire(K, {"w1": times})
+
+    def test_multiplication_refuses_a_non_integral_factor(self, K):
+        with pytest.raises(ValidationError):
+            2.5 * vertex_divisor(K, "w1")
+
+    def test_integral_floats_and_fractions_are_accepted(self, K):
+        d = Divisor(K, {"w1": 2.0, "w2": Fraction(4, 2)})
+        assert d == Divisor(K, {"w1": 2, "w2": 2})
+        fired = laplacian_fire(K, {"w1": 1.0})
+        assert fired == laplacian_fire(K, {"w1": 1})
+        assert all(type(c) is int for c in d.vector + fired.vector + (2.0 * d).vector)
 
 
 class TestQReduce:

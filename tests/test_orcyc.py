@@ -3,12 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs_isomorphic
-from helpers import base_reversing_pair, catalogue, digon_cycle_pair
+from helpers import (
+    base_reversing_pair,
+    catalogue,
+    cycle_plus_chords,
+    digon_cycle_pair,
+    whitney_morphisms,
+)
 
-from rigidlift.divisor import Divisor, DivisorClass, theta_divisor
+from rigidlift.divisor import Divisor, DivisorClass, _search, theta_divisor
 from rigidlift.errors import (
     BaseNotPreserved,
     CompositionMismatch,
+    EnumerationBoundExceeded,
     GenusTooSmall,
     InvalidCyclicBijection,
     MorphismIsRigid,
@@ -19,7 +26,7 @@ from rigidlift.errors import (
     NotTwoEdgeConnected,
 )
 from rigidlift.homology import iota, lattice_for, pushforward_cochain
-from rigidlift.multigraph import build_graph, series_classes
+from rigidlift.multigraph import build_graph, series_classes, spanning_tree_count
 from rigidlift.orcyc import (
     MatroidLift,
     NotLiftable,
@@ -226,6 +233,21 @@ class TestRigidity:
 
         for name in ("is_rigid", "diagram_defect", "theta_preserved", "s1_image_preserved"):
             assert getattr(rigidlift, name) is getattr(orcyc, name)
+
+    def test_theta_preserved_keeps_the_class_bound(self, gh_morphism, jk_morphism):
+        """Θ of both graphs is enumerated under max_classes, and the bound
+        on |Pic^0| = tau raises as the search would, cached or not."""
+        flip = whitney_morphisms(cycle_plus_chords(8, 3, 0), limit=1)[0]
+        for m in (gh_morphism, jk_morphism, flip):
+            tau = spanning_tree_count(m.source)
+            _search.cache_clear()
+            for _ in range(2):
+                with pytest.raises(EnumerationBoundExceeded) as info:
+                    theta_preserved(m, max_classes=tau - 1)
+                assert (info.value.limit, info.value.reached) == (tau - 1, tau)
+                theta_divisor(m.source)
+                theta_divisor(m.target)
+            assert theta_preserved(m, max_classes=tau) == theta_preserved(m)
 
     def test_genus_requirement(self, four_cycle):
         m = identity_morphism(four_cycle)

@@ -23,7 +23,7 @@ from helpers import (
     whitney_morphisms,
 )
 
-from rigidlift.divisor import q_reduce, vertex_divisor
+from rigidlift.divisor import q_reduce, theta_divisor, vertex_divisor
 from rigidlift.errors import (
     BaseNotPreserved,
     InternalError,
@@ -49,11 +49,13 @@ from rigidlift.orcyc import (
     compose,
     compute_signs,
     diagram_defect,
+    inverse_morphism,
     is_rigid,
     lift_matroid_isomorphism,
     lift_to_graph_isomorphism,
     make_morphism,
     s1_image_preserved,
+    theta_preserved,
     validate_cyclic_bijection,
 )
 
@@ -661,3 +663,66 @@ def test_make_morphism_errors_match_a_reference_that_checks_2_connectivity_first
     assert outcomes.pop(NotTwoEdgeConnected) == 5
     assert set(outcomes) == {None, NotTwoConnected, InvalidCyclicBijection}
     assert min(outcomes.values()) > 200
+
+
+@lru_cache(maxsize=None)
+def _theta_morphisms():
+    """The based morphisms and their inverses, and series transpositions and
+    Whitney flips of chorded 6- to 12-cycles."""
+    out = list(_based_morphisms())
+    out.extend(inverse_morphism(m) for m in _based_morphisms())
+    for n in range(6, 13):
+        for chords in (2, 3):
+            for seed in range(6):
+                g = cycle_plus_chords(n, chords, seed)
+                out.extend(series_transposition_morphisms(g, limit=2))
+                out.extend(whitney_morphisms(g, limit=2))
+    return tuple(out)
+
+
+def test_theta_preserved_matches_the_set_comparison():
+    outcomes = Counter()
+    for m in _theta_morphisms():
+        preserved = theta_preserved(m)
+        assert preserved == ref.theta_preserved(m)
+        outcomes[preserved] += 1
+    assert outcomes[True] > 2000 and outcomes[False] > 1000
+
+
+def _record_q_reduce(monkeypatch):
+    """The degrees of the divisors q_reduce is asked for, from `orcyc` or
+    from `divisor` (DivisorClass and the effectiveness tests)."""
+    degrees = []
+    original = sys.modules["rigidlift.divisor"].q_reduce
+
+    def recording(g, d, q):
+        degrees.append(d.degree)
+        return original(g, d, q)
+
+    for name in ("rigidlift.divisor", "rigidlift.orcyc"):
+        monkeypatch.setattr(sys.modules[name], "q_reduce", recording)
+    return degrees
+
+
+def test_theta_preserved_reduces_vertex_images_not_classes(monkeypatch):
+    """Where the vertex images are a bijection each pushed v - t0 reduces to
+    r - q, of weight 0 or 1, so every class of Θ passes the weight test: at
+    most |V| reductions, each of a degree-0 vertex image and none of a
+    degree g - 1 divisor of one class."""
+    morphisms = [m for m in _based_morphisms() if s1_image_preserved(m)]
+    assert len(morphisms) > 1000
+    degrees = _record_q_reduce(monkeypatch)
+    for m in morphisms:
+        degrees.clear()
+        assert theta_preserved(m)
+        assert len(degrees) <= len(m.source.vertices)
+        assert set(degrees) <= {0}
+
+
+def test_theta_preserved_on_a_large_non_rigid_flip_reduces_less_than_theta(monkeypatch):
+    m = whitney_morphisms(cycle_plus_chords(12, 6, 2), limit=2)[1]
+    theta = theta_divisor(m.source)
+    assert len(theta) > 1000 and not is_rigid(m)
+    degrees = _record_q_reduce(monkeypatch)
+    assert not theta_preserved(m)
+    assert 0 < len(degrees) < len(theta)
