@@ -13,6 +13,11 @@ import time
 from . import __version__
 from .errors import (
     EnumerationBoundExceeded,
+    InvalidCyclicBijection,
+    NoCommonCycle,
+    NotBijection,
+    NotTwoConnected,
+    NotTwoEdgeConnected,
     ParseError,
     RigidliftError,
     ValidationError,
@@ -121,7 +126,10 @@ def cmd_lift_matroid(args, max_classes):
     g = load_graph(args.graph_g)
     h = load_graph(args.graph_h)
     edge_map = load_edge_map(g, h, args.map_file)
-    result = lift_matroid_isomorphism(g, h, edge_map)
+    try:
+        result = lift_matroid_isomorphism(g, h, edge_map)
+    except (NotBijection, InvalidCyclicBijection, NoCommonCycle, NotTwoConnected, NotTwoEdgeConnected) as exc:
+        raise ValidationError(str(exc)) from exc
     if isinstance(result, MatroidLift):
         report = {
             "liftable": True,

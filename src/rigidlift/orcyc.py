@@ -23,6 +23,7 @@ from .errors import (
     NotTwoConnected,
     NotTwoEdgeConnected,
     QIsEffective,
+    ValidationError,
 )
 from .divisor import (
     DEFAULT_MAX_CLASSES,
@@ -304,6 +305,8 @@ def inverse_morphism(m):
 
 
 def pushforward_orientation(m, u):
+    if u.graph != m.source:
+        raise ValidationError("the orientation is not on the source")
     emap, sgn = m.edge_dict, m.sign_dict
     states = {}
     for e in m.source.edge_ids:
@@ -337,15 +340,19 @@ def lowering_divisor(m, edge_set):
     [sum over X of t(phi(e))] - phi_*[sum over X of t(e)]."""
     g, h = m.source, m.target
     emap = m.edge_dict
+    for e in edge_set:
+        if not g.has_edge(e):
+            raise ValidationError(f"edge {e!r} not in the source")
     heads = Divisor(h, Counter(h.t(emap[e]) for e in edge_set))
     tails = Divisor(g, Counter(g.t(e) for e in edge_set))
     return DivisorClass(h, heads - m.push(tails))
 
 
 def diagram_defect(m, u):
-    """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target."""
-    image = m.push(chern_class(u))
-    return DivisorClass(m.target, image - chern_class(pushforward_orientation(m, u)))
+    """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target; phi_O
+    goes first, as it checks that U is on the source."""
+    pushed = pushforward_orientation(m, u)
+    return DivisorClass(m.target, m.push(chern_class(u)) - chern_class(pushed))
 
 
 def _require_genus(m):
@@ -364,23 +371,24 @@ def is_rigid(m):
 
 def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
     """Whether phi_* carries Θ of the source onto Θ of the target, each at
-    its own q = t(base), with both enumerated under max_classes.
-
-    phi_* is a group isomorphism Pic^0(G) -> Pic^0(H), so phi_*Θ_G = Θ_H iff
-    |Θ_G| = |Θ_H| and phi_*Θ_G lies in Θ_H.  That test needs |V(G)|
-    reductions, not one per class.  Let R_v be the q-reduced form of
-    phi_*(v - t0) (R_t0 = 0); it is >= 0 off q, so w_v = -R_v(q) >= 0.  A
-    class of Θ_G is s - |s| t0 for a superstable s, and it goes to the class
-    of D = sum s(v) R_v + (g - 1) q less (g - 1) q.  D is >= 0 off q and
-    D(q) = g - 1 - sum s(v) w_v, so when that sum is at most g - 1, D is
-    effective and the image lies in Θ_H; otherwise D is reduced once at q.
-    Θ_G is a frozenset: where a False answer stops depends on its hash, the
-    answer does not."""
+    its own q = t(base).  Every constructor of OrCycMorphism yields a cyclic
+    bijection, so |Θ_G| = |Θ_H| (the number of superstables of each size is
+    read off T(1, y) of the cycle matroid, Merino) and τ_G = τ_H (its bases):
+    only Θ_G is enumerated, and its bound max_classes on τ_G raises exactly
+    when one on τ_H would.  phi_* is a group isomorphism of Pic^0, so
+    phi_*Θ_G = Θ_H iff `_theta_escapes` yields no class of Θ_G."""
     _require_genus(m)
+    return next(_theta_escapes(m, theta_divisor(m.source, max_classes=max_classes)), None) is None
+
+
+def _theta_escapes(m, classes):
+    """The classes among `classes` (of Θ_G), in order, that phi_* carries out
+    of Θ_H.  Let R_v be the q-reduced form of phi_*(v - t0) (R_t0 = 0); it
+    is >= 0 off q, so w_v = -R_v(q) >= 0.  A class s - |s| t0 of Θ_G (s
+    superstable) goes to the class of D - (g - 1) q, D = sum s(v) R_v +
+    (g - 1) q, which is >= 0 off q with D(q) = g - 1 - sum s(v) w_v: when
+    that sum is at most g - 1 the image lies in Θ_H, else D is reduced once."""
     g, h = m.source, m.target
-    theta_g = theta_divisor(g, max_classes=max_classes)
-    if len(theta_g) != len(theta_divisor(h, max_classes=max_classes)):
-        return False
     q, t0 = h.base_head, g.vertex_index[g.base_head]
     qi, n = h.vertex_index[q], len(g.vertex_ids)
     reduced = []  # R_v in source vertex order
@@ -394,14 +402,13 @@ def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
     columns = list(zip(*reduced))  # columns[j][i] = R_v(j), v the i-th source vertex
     weight = [-a for a in columns[qi]]
     slack = g.genus - 1
-    for c in theta_g:
+    for c in classes:
         s = c.representative.vector
         if sum(map(mul, s, weight)) > slack:
             d = [sum(map(mul, s, column)) for column in columns]
             d[qi] += slack
             if q_reduce(h, Divisor._of(h, d), q).vector[qi] < 0:
-                return False
-    return True
+                yield c
 
 
 def s1_image_preserved(m):
@@ -417,7 +424,8 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
     For the first target vertex v with q = E_phi + v not effective that
     works, s = phi^-1_*[q + T] - (g - 1) t0 (T from `extend_to_nonspecial`):
     the defect phi_*[c(U)] - [c(phi_O U)] is E_phi for every full U.  Tests
-    are by `in_theta`; Θ is enumerated, under max_classes, only as a fallback."""
+    are by `in_theta`; Θ of the source is enumerated, under max_classes, only
+    for the fallback, which takes the first class `_theta_escapes` yields."""
     if is_rigid(m):
         raise MorphismIsRigid("morphism is rigid; no witness exists")
     g, h = m.source, m.target
@@ -433,12 +441,10 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
         image = pushforward_class(m, s)
         if in_theta(g, s) and not in_theta(h, image):
             return s, image
-    # Fallback: direct search over the source theta divisor.
+    # Fallback: the first class of the source's Θ, in order, that phi_* carries out.
     theta_g = theta_divisor(g, max_classes=max_classes)
-    for s in sorted(theta_g, key=lambda c: tuple(c.representative.items())):
-        image = pushforward_class(m, s)
-        if not in_theta(h, image):
-            return s, image
+    for s in _theta_escapes(m, sorted(theta_g, key=lambda c: tuple(c.representative.items()))):
+        return s, pushforward_class(m, s)
     raise InternalError("non-rigid morphism but theta image matches")
 
 

@@ -272,6 +272,9 @@ def _check_consistent_cut(u, edges):
 
 def apply_move(u, move):
     """Apply an equivalence move; the Chern class is preserved."""
+    for e in (*move.edges, *move.slide[:2]):
+        if not u.graph.has_edge(e):
+            raise ValidationError(f"edge {e!r} not in graph")
     if move.kind is MoveKind.CYCLE_REVERSAL:
         _check_consistent_cycle(u, move.edges)
         return u.reverse_edges(move.edges)
@@ -327,9 +330,11 @@ def torsor_act(g, d, u):
     reached from p is reversed, which fires that set and shifts the class
     by a principal divisor.  The work is done on one head map.
     """
+    dd = d if isinstance(d, Divisor) else d.representative
+    if u.graph != g or dd.graph != g:
+        raise ValidationError("torsor action on another graph's orientation or divisor")
     if not u.is_full:
         raise InvalidMove("torsor action requires a full orientation")
-    dd = d if isinstance(d, Divisor) else d.representative
     if dd.degree != 0:
         raise DegreeMismatch("torsor action requires a degree-0 divisor")
     positives, negatives = [], []

@@ -347,6 +347,34 @@ class TestCliLiftMatroid:
         assert out["liftable"] is False
         assert set(out["tried"]) == {"r1", "r4"}
 
+    def test_cut_vertex_is_malformed_input(self, capsys, tmp_path):
+        # Two triangles sharing vertex a, mapped to themselves: as `rigidity` says.
+        bowtie = build_graph(
+            [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+             ("e4", "a", "d"), ("e5", "d", "e"), ("e6", "e", "a")],
+            "e1",
+        )
+        path = write_morphism_files(tmp_path, bowtie, bowtie, {e: e for e in bowtie.edge_ids})
+        graphs = [str(tmp_path / "source.graph"), str(tmp_path / "target.graph")]
+        code, out = run(capsys, ["--no-timings", "lift-matroid", *graphs, path])
+        assert code == 2
+        assert out["error"]["type"] == "ValidationError" and "not 2-connected" in out["error"]["message"]
+
+    def test_non_cyclic_bijection_is_malformed_input_as_in_rigidity(self, capsys, tmp_path):
+        edge_map = {f"e{i}": f"r{i}" for i in range(1, 8)}
+        edge_map["e3"], edge_map["e4"] = "r4", "r3"
+        path = tmp_path / "m.morphism.json"
+        path.write_text(json.dumps(
+            {"source": fixture_path("G.graph"), "target": fixture_path("H.graph"), "edge_map": edge_map}
+        ))
+        lift = ["lift-matroid", fixture_path("G.graph"), fixture_path("H.graph"), str(path)]
+        errors = []
+        for argv in (lift, ["rigidity", str(path)]):
+            code, out = run(capsys, ["--no-timings", *argv])
+            assert code == 2
+            errors.append(out["error"])
+        assert errors[0] == errors[1] and errors[0]["type"] == "ValidationError"
+
     def test_invalid_json_is_input_error(self, capsys, tmp_path):
         map_file = tmp_path / "map.json"
         map_file.write_text("{nope")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,9 @@ from rigidlift.errors import (
     NotBijection,
     NotTwoConnected,
     NotTwoEdgeConnected,
+    ValidationError,
 )
+from rigidlift.graphio import load_fixture
 from rigidlift.homology import iota, lattice_for, pushforward_cochain
 from rigidlift.multigraph import build_graph, series_classes, spanning_tree_count
 from rigidlift.orcyc import (
@@ -48,7 +52,14 @@ from rigidlift.orcyc import (
     theta_preserved,
     validate_cyclic_bijection,
 )
-from rigidlift.orientation import EdgeState, base_orientation, chern_class
+from rigidlift.orientation import (
+    EdgeState,
+    apply_move,
+    base_orientation,
+    chern_class,
+    cycle_reversal,
+    torsor_act,
+)
 
 
 GH_SIGNS = {"e1": 1, "e2": 1, "e3": -1, "e4": -1, "e5": 1, "e6": -1, "e7": 1}
@@ -235,7 +246,7 @@ class TestRigidity:
             assert getattr(rigidlift, name) is getattr(orcyc, name)
 
     def test_theta_preserved_keeps_the_class_bound(self, gh_morphism, jk_morphism):
-        """Θ of both graphs is enumerated under max_classes, and the bound
+        """Θ of the source is enumerated under max_classes, and the bound
         on |Pic^0| = tau raises as the search would, cached or not."""
         flip = whitney_morphisms(cycle_plus_chords(8, 3, 0), limit=1)[0]
         for m in (gh_morphism, jk_morphism, flip):
@@ -248,6 +259,21 @@ class TestRigidity:
                 theta_divisor(m.source)
                 theta_divisor(m.target)
             assert theta_preserved(m, max_classes=tau) == theta_preserved(m)
+
+    def test_theta_preserved_enumerates_theta_of_the_source_only(self, monkeypatch, gh_morphism, jk_morphism):
+        orcyc = sys.modules["rigidlift.orcyc"]
+        original, asked = orcyc.theta_divisor, []
+
+        def recording(g, *args, **kwargs):
+            asked.append(g)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(orcyc, "theta_divisor", recording)
+        flip = whitney_morphisms(cycle_plus_chords(8, 3, 0), limit=1)[0]
+        for m in (gh_morphism, jk_morphism, flip):
+            asked.clear()
+            theta_preserved(m)
+            assert asked == [m.source]
 
     def test_genus_requirement(self, four_cycle):
         m = identity_morphism(four_cycle)
@@ -290,6 +316,37 @@ class TestRigidity:
         )
         assert diagram_defect(m, u) == expected
         assert diagram_defect(m, u) != expected + correction
+
+
+def _foreign_inputs():
+    """(name, call) pairs that hand an entry point an object of another
+    graph: G and K share no ids, and a Whitney flip's source and target
+    share every edge and vertex id but not their ends."""
+    g, k = load_fixture("G.graph"), load_fixture("K.graph")
+    gh = make_morphism(g, load_fixture("H.graph"), {f"e{i}": f"r{i}" for i in range(1, 8)})
+    flip = whitney_morphisms(cycle_plus_chords(8, 3, 0), limit=1)[0]
+    f, f2 = flip.source, flip.target
+    assert f != f2 and f.edge_ids == f2.edge_ids and f.vertex_ids == f2.vertex_ids
+    k_chip = Divisor(k, {"w1": 1, "w2": -1})
+    f2_chip = Divisor(f2, {f2.vertex_ids[0]: 1, f2.vertex_ids[1]: -1})
+    return [
+        ("torsor_act u on K", lambda: torsor_act(g, Divisor(g), base_orientation(k))),
+        ("torsor_act d on K", lambda: torsor_act(g, k_chip, base_orientation(g))),
+        ("pushforward_orientation on K", lambda: pushforward_orientation(gh, base_orientation(k))),
+        ("diagram_defect on K", lambda: diagram_defect(gh, base_orientation(k))),
+        ("apply_move with K's edges", lambda: apply_move(base_orientation(g), cycle_reversal({"r1", "r2"}))),
+        ("lowering_divisor with K's edge", lambda: lowering_divisor(gh, {"r1"})),
+        ("torsor_act u on the flip", lambda: torsor_act(f, Divisor(f), base_orientation(f2))),
+        ("torsor_act d on the flip", lambda: torsor_act(f, f2_chip, base_orientation(f))),
+        ("pushforward_orientation on the flip", lambda: pushforward_orientation(flip, base_orientation(f2))),
+        ("diagram_defect on the flip", lambda: diagram_defect(flip, base_orientation(f2))),
+    ]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in _foreign_inputs()])
+def test_inputs_from_another_graph_are_rejected(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestWitness:

@@ -42,6 +42,7 @@ from rigidlift.multigraph import (
     find_arches,
     fundamental_cycles,
     series_classes,
+    spanning_tree_count,
 )
 from rigidlift.orientation import PartialOrientation, base_orientation
 from rigidlift.orcyc import (
@@ -687,6 +688,14 @@ def test_theta_preserved_matches_the_set_comparison():
         assert preserved == ref.theta_preserved(m)
         outcomes[preserved] += 1
     assert outcomes[True] > 2000 and outcomes[False] > 1000
+
+
+def test_cyclic_bijections_keep_the_sizes_of_theta_and_pic0():
+    # The invariant that lets `theta_preserved` enumerate Θ of the source only.
+    for m in _theta_morphisms():
+        g, h = m.source, m.target
+        assert len(theta_divisor(g)) == len(theta_divisor(h))
+        assert spanning_tree_count(g) == spanning_tree_count(h)
 
 
 def _record_q_reduce(monkeypatch):
