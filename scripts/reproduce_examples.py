@@ -8,11 +8,16 @@ for both pairs.
 """
 
 import argparse
+import os
+import sys
 
-from rigidlift.divisor import Divisor, enumerate_picard, q_reduce, theta_divisor
-from rigidlift.graphio import fixture_path, format_divisor, load_morphism
-from rigidlift.multigraph import id_key, series_classes, spanning_tree_count
-from rigidlift.orcyc import (
+# The checkout's own library, whatever the working directory.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from rigidlift.divisor import Divisor, enumerate_picard, q_reduce, theta_divisor  # noqa: E402
+from rigidlift.graphio import fixture_path, format_divisor, load_morphism  # noqa: E402
+from rigidlift.multigraph import id_key, series_classes, spanning_tree_count  # noqa: E402
+from rigidlift.orcyc import (  # noqa: E402
     MatroidLift,
     is_rigid,
     lift_matroid_isomorphism,
@@ -23,7 +28,7 @@ from rigidlift.orcyc import (
     rigidity_divisor,
     theta_preserved,
 )
-from rigidlift.orientation import base_orientation, chern_class
+from rigidlift.orientation import base_orientation, chern_class  # noqa: E402
 
 
 def _sorted(d):

@@ -16,7 +16,9 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+# The checkout's own library and test helpers, whatever the working directory.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from helpers import enumerate_small_graphs, sample_morphisms  # noqa: E402
 

@@ -94,7 +94,8 @@ class Divisor:
         return self.graph == other.graph and self.vector == other.vector
 
     def __hash__(self):
-        return hash((self.graph, self.vector))
+        # The vector alone: __eq__ still tells two graphs apart.
+        return hash(self.vector)
 
     def __repr__(self):
         if not any(self.vector):
@@ -172,14 +173,26 @@ def _burn(core, c):
     return burnt, counts
 
 
+def _check_on(g, d):
+    """Raise ValidationError unless d is a divisor on g: d.graph is g, or has
+    g's vertex ids and each edge id with the same unordered ends (g rebased,
+    or with some edges reversed)."""
+    h = d.graph
+    if h is not g and (
+        h.vertex_ids != g.vertex_ids
+        or h.edge_ids != g.edge_ids
+        or any(set(h.ends(e)) != set(g.ends(e)) for e in g.edge_ids)
+    ):
+        raise ValidationError("divisor is not on the vertices and edges of the graph")
+
+
 def q_reduce(g, d, q):
     """The unique q-reduced divisor linearly equivalent to d."""
     if q not in g.vertices:
         raise ValidationError(f"vertex {q!r} not in graph")
     core = _core(g, q)
     nbrs, depth = core.nbrs, core.depth
-    if d.graph.vertex_ids != g.vertex_ids:
-        raise ValidationError("divisor is not on the vertices of the graph")
+    _check_on(g, d)
     c = list(d.vector)
 
     # Phase 1: clear debt working outward-in; firing the ball of radius k-1
@@ -220,8 +233,7 @@ def dhar_burn_order(g, d, q):
     `_certify`'s burn, in which the first burnable vertex in id order burns."""
     if q not in g.vertices:
         raise ValidationError(f"vertex {q!r} not in graph")
-    if d.graph.vertex_ids != g.vertex_ids:
-        raise ValidationError("divisor is not on the vertices of the graph")
+    _check_on(g, d)
     if any(k < 0 for v, k in d.items() if v != q):
         raise ValidationError("divisor is not q-reduced: negative off q")
     order, _ = _certify(_core(g, q), d.vector)
@@ -255,7 +267,7 @@ class DivisorClass:
     def __init__(self, graph, d):
         self.graph = graph
         self.representative = q_reduce(graph, d, graph.base_head)
-        self._hash = hash((graph, self.representative))
+        self._hash = hash(self.representative.vector)
 
     @classmethod
     def _of_reduced(cls, graph, rep):
@@ -263,7 +275,7 @@ class DivisorClass:
         self = cls.__new__(cls)
         self.graph = graph
         self.representative = rep
-        self._hash = hash((graph, rep))
+        self._hash = hash(rep.vector)
         return self
 
     @property
@@ -382,12 +394,17 @@ def _grow(core, level):
     return out
 
 
-def _class_of(g, qi, s, size):
-    """The degree-0 class s - size q (q at index qi), for a superstable s of
-    size |s| = size: its representative is reduced at q."""
-    rep = s.copy()
-    rep[qi] = -size
-    return DivisorClass._of_reduced(g, Divisor._of(g, rep))
+def _level_classes(g, qi, level, size):
+    """The degree-0 classes s - size q (q at index qi) of the nodes (s, room,
+    first) of one search level |s| = size: each representative is reduced
+    at q."""
+    of, of_reduced = Divisor._of, DivisorClass._of_reduced
+    out = []
+    for s, _, _ in level:
+        rep = s.copy()
+        rep[qi] = -size
+        out.append(of_reduced(g, of(g, rep)))
+    return out
 
 
 class _Search:
@@ -395,7 +412,9 @@ class _Search:
     graph (see `_search`), grown one level |s| at a time by `_grow` from
     level 0, the zero configuration.  At q each degree-0 class is s - |s| q
     for one superstable s, with |s| <= g.  tau = |Pic^0| (the spanning-tree
-    count), and each other field is set only once it is wholly computed:
+    count) is None until a class bound is over Hadamard's bound on it (see
+    `check_bound`), and each other field is set only once it is wholly
+    computed:
 
     - `theta` is Θ at q, the classes of levels 0 to g - 1: s + (g - 1 - |s|) q
       is also q-reduced, so s - |s| q + (g - 1) q is effective iff
@@ -410,14 +429,27 @@ class _Search:
     def __init__(self, g):
         self.graph = g
         self.core = _core(g, g.base_head)
-        self.tau = spanning_tree_count(g)
-        self.theta = self.top = self.pic0 = None
+        self.tau = self.theta = self.top = self.pic0 = None
 
     def check_bound(self, max_classes):
         """Raise EnumerationBoundExceeded, with the limit and reached count
         of a search stopped at the first class over max(max_classes, 1),
-        when |Pic^0| is over that bound."""
+        when |Pic^0| is over that bound.  The reduced Laplacian at q is
+        positive definite with the degrees on its diagonal, so by Hadamard's
+        inequality tau <= the product of the degrees off q; tau itself is
+        counted (once) only when that product is over the bound."""
         bound = max(max_classes, 1)
+        core = self.core
+        product = 1
+        for i, d in enumerate(core.degree):
+            if i != core.q:
+                product *= d
+                if product > bound:
+                    break
+        else:
+            return
+        if self.tau is None:
+            self.tau = spanning_tree_count(self.graph)
         if self.tau > bound:
             raise EnumerationBoundExceeded(max_classes, bound + 1)
 
@@ -425,10 +457,11 @@ class _Search:
         if self.theta is None:
             g, core = self.graph, self.core
             zero = [0] * len(core.nbrs)
-            level, classes = [(zero, None, 0)], [_class_of(g, core.q, zero, 0)]
+            level = [(zero, None, 0)]
+            classes = _level_classes(g, core.q, level, 0)
             for size in range(1, g.genus):
                 level = _grow(core, level)
-                classes.extend(_class_of(g, core.q, s, size) for s, _, _ in level)
+                classes += _level_classes(g, core.q, level, size)
             self.theta, self.top = frozenset(classes), level
         return self.theta
 
@@ -437,7 +470,7 @@ class _Search:
             theta = self.theta_classes()
             g, core = self.graph, self.core
             level = _grow(core, self.top)
-            self.pic0 = theta.union(_class_of(g, core.q, s, g.genus) for s, _, _ in level)
+            self.pic0 = theta.union(_level_classes(g, core.q, level, g.genus))
             self.top = None
         return self.pic0
 

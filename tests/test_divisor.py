@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_spanning_trees, catalogue, enumerate_small_graphs
+from helpers import (
+    brute_force_spanning_trees,
+    catalogue,
+    cycle_plus_chords,
+    enumerate_small_graphs,
+    whitney_morphisms,
+)
 
 from rigidlift.divisor import (
     Classification,
@@ -27,7 +33,7 @@ from rigidlift.divisor import (
 )
 from rigidlift.divisor import _search
 from rigidlift.errors import EnumerationBoundExceeded, ValidationError, WrongDegree
-from rigidlift.multigraph import build_graph, spanning_tree_count
+from rigidlift.multigraph import Multigraph, build_graph, spanning_tree_count
 
 
 def small_coeffs(g):
@@ -103,6 +109,38 @@ class TestQReduce:
             dhar_burn_order(G, Divisor(K), "v1")
         rebased = K.with_base("r2")
         assert q_reduce(rebased, d, "w4") == Divisor(rebased, {"w1": 1, "w3": 1, "w4": -2})
+
+    def test_divisor_of_a_whitney_flip_is_refused(self):
+        # The flip keeps every vertex and edge id but moves some edge ends,
+        # so a divisor of its target is not a divisor of the source.
+        g = cycle_plus_chords(8, 3, 0)
+        h = whitney_morphisms(g, limit=1)[0].target
+        assert (h.vertex_ids, h.edge_ids) == (g.vertex_ids, g.edge_ids)
+        d = Divisor(h, {h.vertex_ids[0]: 2, g.base_head: -1})
+        q = g.base_head
+        for call in (
+            lambda: q_reduce(g, d, q),
+            lambda: is_effective_class(g, d),
+            lambda: linearly_equivalent(g, d, d),
+            lambda: dhar_burn_order(g, Divisor(h), q),
+        ):
+            with pytest.raises(ValidationError, match="not on the vertices and edges"):
+                call()
+
+    def test_divisor_of_a_rebased_or_reoriented_copy_is_accepted(self):
+        # Another base, or an edge turned round, leaves the Laplacian as it is.
+        g = cycle_plus_chords(8, 3, 0)
+        d = Divisor(g, {g.vertex_ids[0]: 3, g.vertex_ids[1]: -2})
+        e = g.edge_ids[-1]
+        edges = g.edges
+        edges[e] = edges[e][::-1]
+        for f in (g.with_base(e), Multigraph(g.vertices, edges, e)):
+            q = f.base_head
+            reduced = q_reduce(g, d, q)
+            assert q_reduce(f, d, q) == Divisor(f, dict(reduced.items()))
+            assert is_effective_class(f, d) == (reduced[q] >= 0)
+            assert linearly_equivalent(f, d, reduced)
+            assert dhar_burn_order(f, reduced, q) == dhar_burn_order(g, reduced, q)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

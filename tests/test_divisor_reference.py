@@ -14,9 +14,11 @@ from helpers import catalogue, cycle_plus_chords
 from rigidlift import divisor as divisor_module
 from rigidlift.divisor import (
     Divisor,
+    DivisorClass,
     dhar_burn_order,
     enumerate_picard,
     in_theta,
+    laplacian_fire,
     q_reduce,
     theta_divisor,
 )
@@ -449,3 +451,81 @@ def test_genus_zero_and_one_edge_cases():
         got = cleared_in_order(digon, order)
         assert got["theta"] == {Divisor(digon)}
         assert got[0] == ref.enumerate_picard(digon, 0, 10**6) and len(got[0]) == 2
+
+
+# -- class objects and the class bound ----------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_searched_classes_equal_and_hash_as_their_public_rebuild(g, data):
+    """Each class of Θ and Pic^0 equals, and hashes as, the class of its
+    representative moved by a random firing script."""
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    for c in theta_divisor(g) | enumerate_picard(g, 0):
+        script = {v: rng.randint(-3, 3) for v in g.vertex_ids}
+        rebuilt = DivisorClass(g, c.representative + laplacian_fire(g, script))
+        assert c == rebuilt and hash(c) == hash(rebuilt)
+
+
+def test_equal_vectors_on_two_graphs_stay_apart():
+    """Hashes read the vector only; equality still tells the graphs apart."""
+    g = catalogue()[0]
+    h = g.with_base(g.edge_ids[-1])
+    zero_g, zero_h = DivisorClass(g, Divisor(g)), DivisorClass(h, Divisor(h))
+    assert hash(zero_g) == hash(zero_h) and zero_g != zero_h
+    assert hash(Divisor(g)) == hash(Divisor(h)) and Divisor(g) != Divisor(h)
+    assert len({zero_g, zero_h}) == 2 and len({Divisor(g), Divisor(h)}) == 2
+    both = enumerate_picard(g, 0) | enumerate_picard(h, 0)
+    assert len(both) == 2 * spanning_tree_count(g)
+
+
+def degree_product(g):
+    """Hadamard's bound on the spanning-tree count: the product of the
+    degrees off q = t(base), the diagonal of the reduced Laplacian."""
+    product = 1
+    for v in g.vertex_ids:
+        if v != g.base_head:
+            product *= g.degree(v)
+    return product
+
+
+def test_tree_count_is_at_most_the_degree_product_on_the_catalogue():
+    for g in catalogue() + tuple(LADDER.values()):
+        for e in g.edge_ids:
+            assert spanning_tree_count(g) <= degree_product(g.with_base(e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_tree_count_is_at_most_the_degree_product(g, data):
+    g = g.with_base(data.draw(st.sampled_from(g.edge_ids)))
+    assert spanning_tree_count(g) <= degree_product(g)
+
+
+@pytest.mark.parametrize("name", sorted(THETA_RUNGS))
+def test_tree_count_runs_only_over_hadamards_bound(name, monkeypatch):
+    """Θ and Pic^0 at the default bound count no spanning trees; at a bound
+    of tau - 1 the count runs once and raises (tau - 1, tau), whether Pic^0
+    was cached or not."""
+    calls = []
+    count = divisor_module.spanning_tree_count
+
+    def counting(g):
+        calls.append(g)
+        return count(g)
+
+    monkeypatch.setattr(divisor_module, "spanning_tree_count", counting)
+    for seed in range(3):
+        g = theta_rung(THETA_RUNGS[name], seed)
+        tau = count(g)
+        clear_caches()
+        assert len(theta_divisor(g)) > 0 and len(enumerate_picard(g, 0)) == tau
+        assert calls == []
+        for cached in (True, False):
+            if not cached:
+                clear_caches()
+            assert bound_error(theta_divisor, g, tau - 1) == (tau - 1, tau)
+            assert bound_error(enumerate_picard, g, 0, tau - 1) == (tau - 1, tau)
+            assert calls == [g]
+            calls.clear()

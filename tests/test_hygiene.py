@@ -1,14 +1,16 @@
 """Source hygiene of the library modules, read with `ast`: every imported
-name is used, and every module-level private function is referenced
-somewhere in the package."""
+name is used, in the library and in scripts/, and every module-level
+private function is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rigidlift"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rigidlift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _tree(path):
@@ -28,9 +30,10 @@ def _names_read(tree):
 
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"divisor.py", "orientation.py", "graphio.py", "cli.py"}
+    assert {p.name for p in SCRIPTS} >= {"torelli_survey.py", "reproduce_examples.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = _tree(path)
     imported = set()
