@@ -19,12 +19,15 @@ from .errors import (
     BaseEdgeInArch,
     Disconnected,
     DuplicateEdgeId,
+    EnumerationBoundExceeded,
     LoopEdge,
     MissingBaseEdge,
     NoCommonCycle,
     NotTwoConnected,
     NotTwoEdgeConnected,
 )
+
+MAX_ARCHES = 10**4  # find_arches raises past this many arches (each holds two edge sets)
 
 
 def id_key(x):
@@ -378,22 +381,6 @@ def cycle_basis(g, seed):
     depth = {root: 0}
     for u, _, w in tree:
         depth[w] = depth[u] + 1
-
-    def tree_steps(src, dst):
-        """(edge, sign, vertex reached) along the tree path src -> dst."""
-        rising, falling = [], []
-        a, b = src, dst
-        while a != b:
-            if depth[a] >= depth[b]:
-                e, p = up[a]
-                rising.append((e, 1 if g.t(e) == p else -1, p))
-                a = p
-            else:
-                e, p = up[b]
-                falling.append((e, 1 if g.t(e) == b else -1, b))
-                b = p
-        return rising + falling[::-1]
-
     tree_edges = {e for _, e, _ in tree}
     cycles = []
     bits = dict.fromkeys(g.edge_ids, 0)
@@ -401,11 +388,45 @@ def cycle_basis(g, seed):
         if e in tree_edges:
             continue
         o, t = g.ends(e)
-        steps = [(e, 1, t)] + tree_steps(t, o)
+        steps = [(e, 1, t)] + tree_steps(g, up, depth, t, o)
         for f, _, _ in steps:
             bits[f] |= 1 << len(cycles)
         cycles.append(EdgePath.walk(o, steps))
     return CycleBasis(tuple(cycles), tuple(bits.values()), tree)
+
+
+def rooted_tree(g, edges, root):
+    """(up, depth) of the tree that `edges` form in g, from root, as
+    `cycle_basis` reads them off its `bfs_tree`: up maps each vertex reached
+    but root to (edge to its parent, parent)."""
+    near = {v: [] for v in g.vertex_ids}  # vertex -> (edge, other end)
+    for e in edges:
+        a, b = g.ends(e)
+        near[a].append((e, b))
+        near[b].append((e, a))
+    up, depth, order = {}, {root: 0}, [root]
+    for u in order:
+        for e, w in near[u]:
+            if w not in depth:
+                up[w], depth[w] = (e, u), depth[u] + 1
+                order.append(w)
+    return up, depth
+
+
+def tree_steps(g, up, depth, src, dst):
+    """(edge, sign, vertex reached) along src -> dst in the tree of up, depth."""
+    rising, falling = [], []
+    a, b = src, dst
+    while a != b:
+        if depth[a] >= depth[b]:
+            e, p = up[a]
+            rising.append((e, 1 if g.t(e) == p else -1, p))
+            a = p
+        else:
+            e, p = up[b]
+            falling.append((e, 1 if g.t(e) == b else -1, b))
+            b = p
+    return rising + falling[::-1]
 
 
 def fundamental_cycles(g):
@@ -470,7 +491,8 @@ def find_arches(g):
     2-connected graph every component of g - {v, w} meets both v and w, so
     a union of bridges at {v, w} spans at least 3 vertices exactly when it
     holds a component's bridge: the arches there are the unions in which
-    both the union and its complement hold one."""
+    both the union and its complement hold one: (2^k - 2) 2^d for k component
+    bridges and d v-w edges, counted against MAX_ARCHES before listing."""
     two_conn, _ = biconnectivity(g)
     if not two_conn:
         raise NotTwoConnected("arches require a 2-connected graph")
@@ -489,6 +511,8 @@ def find_arches(g):
         k = len(parts)
         if k < 2:
             continue
+        if len(arches) + (((1 << k) - 2) << len(direct)) > MAX_ARCHES:
+            raise EnumerationBoundExceeded(MAX_ARCHES, MAX_ARCHES + 1)
         parts += direct
         all_bridges = (1 << k) - 1
         for mask in range(1, 1 << len(parts)):
@@ -500,13 +524,8 @@ def find_arches(g):
                     x |= part
             comp = set(g.edge_ids) - x
             arches.append(Arch(frozenset(x), (v, w), frozenset(comp)))
-    return sorted(
-        arches,
-        key=lambda a: (
-            tuple(id_key(t) for t in a.tips),
-            tuple(sorted((id_key(e) for e in a.edges))),
-        ),
-    )
+    arches.sort(key=lambda a: (tuple(map(id_key, a.tips)), sorted(map(id_key, a.edges))))
+    return arches
 
 
 def whitney_move(g, arch):
@@ -518,19 +537,12 @@ def whitney_move(g, arch):
     if g.base_edge in arch.edges:
         raise BaseEdgeInArch("base edge may not lie in the moved arch")
     v, w = arch.tips
-
-    def swap(x):
-        if x == v:
-            return w
-        if x == w:
-            return v
-        return x
-
+    swap = {v: w, w: v}
     triples = []
     for e in g.edge_ids:
         a, b = g.ends(e)
         if e in arch.edges:
-            a, b = swap(a), swap(b)
+            a, b = swap.get(a, a), swap.get(b, b)
         triples.append((e, a, b))
     moved = build_graph(triples, g.base_edge)
     from .orcyc import make_morphism

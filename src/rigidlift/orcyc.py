@@ -39,7 +39,9 @@ from .multigraph import (
     biconnectivity,
     cycle_basis,
     id_key,
+    rooted_tree,
     series_classes,
+    tree_steps,
 )
 from .orientation import (
     EdgeState,
@@ -137,7 +139,8 @@ class OrCycMorphism:
         """E_phi = phi_*[c(O_G)] - [c(phi_O(O_G))] (see `rigidity_divisor`)
         from two coefficient vectors: O_G points each edge e at t(e), and
         phi_O(O_G) points phi(e) at t(phi e) if sgn(e) = +1, else at o(phi e).
-        `diagram_defect` at `base_orientation` gives the same class."""
+        `diagram_defect` at `base_orientation` gives the same class.  A zero
+        vector, as from an isomorphism keeping t(base), is reduced as it is."""
         g, h = self.source, self.target
         emap, sgn = self.edge_dict, self.sign_dict
         source_index, target_index = g.vertex_index, h.vertex_index
@@ -148,7 +151,8 @@ class OrCycMorphism:
             r = emap[e]
             minus_image[target_index[h.t(r) if sgn[e] == 1 else h.o(r)]] -= 1
         pushed = self.push(Divisor._of(g, chern)).vector
-        return DivisorClass(h, Divisor._of(h, [a + b for a, b in zip(pushed, minus_image)]))
+        d = Divisor._of(h, [a + b for a, b in zip(pushed, minus_image)])
+        return DivisorClass(h, d) if any(d.vector) else DivisorClass._of_reduced(h, d)
 
     @cached_property
     def vertex_image(self):
@@ -186,52 +190,35 @@ def _freeze_map(d, keys):
     return tuple((k, d[k]) for k in keys)
 
 
-def _traverse_edge_subset_cycle(h, edge_set):
-    """{edge: +1/-1}: the traversal signs of the simple cycle edge_set of h,
-    in the direction that crosses its lowest edge id tail-to-head."""
-    incid = {}
-    for e in edge_set:
-        for v in h.ends(e):
-            incid.setdefault(v, []).append(e)
-    if any(len(es) != 2 for es in incid.values()):
-        raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
-    start_edge = min(edge_set, key=id_key)
-    signs = {start_edge: 1}
-    stop, current = h.ends(start_edge)
-    prev_edge = start_edge
-    while current != stop:
-        a, b = incid[current]
-        nxt = b if a == prev_edge else a
-        o, t = h.ends(nxt)
-        if o == current:
-            signs[nxt], current = 1, t
-        else:
-            signs[nxt], current = -1, o
-        prev_edge = nxt
-    if len(signs) != len(edge_set):
-        raise InvalidCyclicBijection("image cycle does not close up")
-    return signs
-
-
 def compute_signs(g, h, edge_map, seed=None):
     """The unique sign function with sgn(base) = +1.
 
-    A fundamental cycle C of g and its image, each traversed in some
-    direction, give sgn(e) = eps_C * src(e) * img(phi e) on C for one
-    unknown eps_C = +-1.  The signs spread from the base across cycles that
-    share an edge; they reach every edge iff the cycle matroid of g is
-    connected, which for 3 or more vertices is g being 2-connected (Whitney).
-    A base on no cycle raises NoCommonCycle.  `seed` roots the spanning
-    tree at a vertex drawn from it; the answer does not depend on it."""
+    A cyclic bijection carries bases to bases (Whitney 1933): phi(T), T the
+    source's tree (`cycle_basis`), spans h, and the image of the fundamental
+    cycle C_f is that of phi(f) in phi(T); under equal genera that walk fails
+    iff some image is not a simple cycle.  The two, crossing f and phi(f)
+    forwards, give sgn(e) = eps_C src(e) img(phi e) on C_f, eps_C = +-1, spread
+    from the base across cycles that share an edge; the signs reach every edge
+    iff the cycle matroid of g is connected: for 3 or more vertices, iff g is
+    2-connected (Whitney).  A base on no cycle raises NoCommonCycle.  `seed`
+    roots T at a vertex drawn from it; the answer does not depend on it."""
     if g.genus != h.genus:
         raise InvalidCyclicBijection("source and target genera differ")
-    ratios = []
-    cycles_of = {}
-    for cyc in cycle_basis(g, seed).cycles:
-        img_signs = _traverse_edge_subset_cycle(h, {edge_map[e] for e in cyc.edges})
+    basis = cycle_basis(g, seed)
+    up, depth = rooted_tree(h, [edge_map[e] for _, e, _ in basis.tree], h.base_head)
+    if len(depth) != len(h.vertex_ids):
+        raise InvalidCyclicBijection("the image of a spanning tree is not a spanning tree")
+    ratios, cycles_of = [], {}
+    for cyc in basis.cycles:
+        r = edge_map[cyc.edges[0]]
+        img = {f: s for f, s, _ in tree_steps(h, up, depth, h.t(r), h.o(r))}
+        img[r] = 1
+        ratio = {e: s * img.get(edge_map[e], 0) for e, s in zip(cyc.edges, cyc.signs)}
+        if len(img) != len(ratio) or 0 in ratio.values():
+            raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
         for e in cyc.edges:
             cycles_of.setdefault(e, []).append(len(ratios))
-        ratios.append({e: s * img_signs[edge_map[e]] for e, s in zip(cyc.edges, cyc.signs)})
+        ratios.append(ratio)
     base = g.base_edge
     if base not in cycles_of:
         raise NoCommonCycle(f"the base {base!r} lies on no cycle")
@@ -256,9 +243,9 @@ def compute_signs(g, h, edge_map, seed=None):
 
 def make_morphism(g, h, edge_map):
     """The morphism of a base-preserving cyclic bijection, with its signs.
-    `compute_signs` compares the genera and traverses the image of each
-    fundamental cycle as a simple cycle, so it raises InvalidCyclicBijection
-    wherever `validate_cyclic_bijection` fails; that test is not repeated.
+    `compute_signs` compares the genera and reads each fundamental cycle's
+    image off the image tree, so it raises InvalidCyclicBijection wherever
+    `validate_cyclic_bijection` fails; that test is not repeated.
     A walk that succeeds makes phi an isomorphism of cycle matroids that it
     proves connected, so both graphs are 2-connected, and only a failed walk
     asks `biconnectivity` which graph is not."""

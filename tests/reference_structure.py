@@ -2,20 +2,25 @@
 2-connectivity by removing each vertex in turn, edge connectivity by
 max-flows that rescan a capacity dict, series classes by testing every
 pair of edges for a cut, fundamental cycles by a breadth-first search in
-the spanning tree, signs from one cycle through the base per edge, and
-the lift to a graph isomorphism that rebuilds phi_* and the vertex-class
-table on every call and grows the vertex map edge by edge, and Θ
-preservation as a comparison of the two enumerated Θ sets."""
+the spanning tree, signs from one cycle through the base per edge with
+its image traversed as a simple cycle, the lift to a graph isomorphism
+that rebuilds phi_* and the vertex-class table on every call and grows
+the vertex map edge by edge, and Θ preservation as a comparison of the
+two enumerated Θ sets."""
 
 from collections import deque
 from itertools import combinations
 
 from rigidlift.divisor import Divisor, DivisorClass, theta_divisor, vertex_divisor
-from rigidlift.errors import InternalError, MorphismNotRigid, NotTwoEdgeConnected
+from rigidlift.errors import (
+    InternalError,
+    InvalidCyclicBijection,
+    MorphismNotRigid,
+    NotTwoEdgeConnected,
+)
 from rigidlift.multigraph import EdgePath, bfs_tree, cycle_through_edges, id_key
 from rigidlift.orcyc import (
     _require_genus,
-    _traverse_edge_subset_cycle,
     _verify_isomorphism,
     pushforward_orientation,
 )
@@ -147,6 +152,33 @@ def fundamental_cycles(g):
             EdgePath((e,) + back.edges, (1,) + back.signs, (g.o(e),) + back.vertices)
         )
     return cycles
+
+
+def _traverse_edge_subset_cycle(h, edge_set):
+    """{edge: +1/-1}: the traversal signs of the simple cycle edge_set of h,
+    in the direction that crosses its lowest edge id tail-to-head."""
+    incid = {}
+    for e in edge_set:
+        for v in h.ends(e):
+            incid.setdefault(v, []).append(e)
+    if any(len(es) != 2 for es in incid.values()):
+        raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
+    start_edge = min(edge_set, key=id_key)
+    signs = {start_edge: 1}
+    stop, current = h.ends(start_edge)
+    prev_edge = start_edge
+    while current != stop:
+        a, b = incid[current]
+        nxt = b if a == prev_edge else a
+        o, t = h.ends(nxt)
+        if o == current:
+            signs[nxt], current = 1, t
+        else:
+            signs[nxt], current = -1, o
+        prev_edge = nxt
+    if len(signs) != len(edge_set):
+        raise InvalidCyclicBijection("image cycle does not close up")
+    return signs
 
 
 def compute_signs(g, h, edge_map, seed=None):

@@ -30,7 +30,7 @@ from rigidlift.errors import (
 )
 from rigidlift.graphio import load_fixture
 from rigidlift.homology import iota, lattice_for, pushforward_cochain
-from rigidlift.multigraph import build_graph, series_classes, spanning_tree_count
+from rigidlift.multigraph import build_graph, cycle_basis, series_classes, spanning_tree_count
 from rigidlift.orcyc import (
     MatroidLift,
     NotLiftable,
@@ -115,6 +115,22 @@ class TestValidation:
         assert not validate_cyclic_bijection(g, h, emap)
         with pytest.raises(InvalidCyclicBijection):
             compute_signs(g, h, emap)
+
+    def test_an_image_tree_with_a_cycle_is_refused(self):
+        # K4 and itself: the source's tree from t(base) = 2 is the star
+        # {a, b, f}, which the map sends onto the triangle {a, b, e}, so the
+        # image of the tree reaches only three vertices.  The genera agree.
+        k4 = build_graph(
+            [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 4, 1), ("e", 1, 3), ("f", 2, 4)],
+            "a",
+        )
+        emap = {"a": "a", "b": "b", "c": "c", "d": "d", "e": "f", "f": "e"}
+        assert {emap[e] for _, e, _ in cycle_basis(k4, None).tree} == {"a", "b", "e"}
+        assert not validate_cyclic_bijection(k4, k4, emap)
+        with pytest.raises(InvalidCyclicBijection, match="spanning tree"):
+            compute_signs(k4, k4, emap)
+        with pytest.raises(InvalidCyclicBijection):
+            make_morphism(k4, k4, emap)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

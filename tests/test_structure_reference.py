@@ -23,9 +23,10 @@ from helpers import (
     whitney_morphisms,
 )
 
-from rigidlift.divisor import q_reduce, theta_divisor, vertex_divisor
+from rigidlift.divisor import Divisor, DivisorClass, q_reduce, theta_divisor, vertex_divisor
 from rigidlift.errors import (
     BaseNotPreserved,
+    EnumerationBoundExceeded,
     InternalError,
     InvalidCyclicBijection,
     NoCommonCycle,
@@ -50,6 +51,7 @@ from rigidlift.orcyc import (
     compose,
     compute_signs,
     diagram_defect,
+    identity_morphism,
     inverse_morphism,
     is_rigid,
     lift_matroid_isomorphism,
@@ -213,6 +215,31 @@ def test_find_arches_matches_brute_force():
         assert found == ref.find_arches(g)
 
 
+def test_find_arches_stops_past_its_bound(monkeypatch):
+    """With `MAX_ARCHES` exactly at the reference's count the arches are
+    listed; one below it, and on 8 parallel edges beside two 2-edge paths
+    (512 arches) under a bound of 100, the search raises before listing them."""
+    module = sys.modules["rigidlift.multigraph"]
+    for g in _arch_graphs()[::10]:
+        expected = ref.find_arches(g)
+        monkeypatch.setattr(module, "MAX_ARCHES", len(expected))
+        found = [(a.tips, a.edges, a.complement) for a in find_arches(g)]
+        assert found == expected
+        if expected:
+            monkeypatch.setattr(module, "MAX_ARCHES", len(expected) - 1)
+            with pytest.raises(EnumerationBoundExceeded) as exc:
+                find_arches(g)
+            assert (exc.value.limit, exc.value.reached) == (len(expected) - 1, len(expected))
+    monkeypatch.undo()
+    paths = [("a1", "u", "a"), ("a2", "a", "v"), ("b1", "u", "b"), ("b2", "b", "v")]
+    bundle = build_graph([(f"p{i}", "u", "v") for i in range(8)] + paths, "a1")
+    assert len(find_arches(bundle)) == 512
+    monkeypatch.setattr(module, "MAX_ARCHES", 100)
+    with pytest.raises(EnumerationBoundExceeded) as exc:
+        find_arches(bundle)
+    assert (exc.value.limit, exc.value.reached) == (100, 101)
+
+
 def test_bowtie_is_two_edge_connected_with_a_cut_vertex():
     triangle = cycle_plus_chords(3, 0, 0)
     g = glued(triangle, triangle, bridge=False)
@@ -285,6 +312,49 @@ def relabelled(g, rng):
     ename = {e: f"f{i}" for i, e in enumerate(edges)}
     h = build_graph([(ename[e], vname[g.o(e)], vname[g.t(e)]) for e in g.edge_ids], ename[g.base_edge])
     return h, ename
+
+
+def _signed_images_close_up(g, h, edge_map, signs):
+    """Whether the signed image of each reference fundamental cycle of g has
+    zero boundary in h.  With sgn(base) = +1 this fixes the sign function of
+    a 2-connected g."""
+    for cyc in ref.fundamental_cycles(g):
+        boundary = Counter()
+        for e, s in zip(cyc.edges, cyc.signs):
+            r = edge_map[e]
+            boundary[h.t(r)] += s * signs[e]
+            boundary[h.o(r)] -= s * signs[e]
+        if any(boundary.values()):
+            return False
+    return True
+
+
+def test_signs_match_reference_on_large_relabellings_and_flips():
+    """The sign walk on the image of the spanning tree, at the default root
+    and at seeds 0-4, on a relabelled copy and three Whitney flips of
+    cycle_plus_chords(n, n/2).  At 32 vertices the answer is the
+    reference's, one cycle through the base per edge; at 64 that cycle
+    search ran past 20 s for one edge, so the answer is held to the law
+    that fixes it."""
+    flips = 0
+    for n in (32, 64):
+        g = cycle_plus_chords(n, n // 2, n)
+        h, emap = relabelled(g, random.Random(n))
+        cases = [(g, h, emap)] + [(m.source, m.target, m.edge_dict) for m in whitney_morphisms(g, limit=3)]
+        flips += len(cases) - 1
+        for source, target, edge_map in cases:
+            signs = compute_signs(source, target, edge_map)
+            if n == 32:
+                assert signs == ref.compute_signs(source, target, edge_map)
+            else:
+                assert signs[source.base_edge] == 1
+                assert _signed_images_close_up(source, target, edge_map, signs)
+                e = next(e for e in source.edge_ids if e != source.base_edge)
+                wrong = {**signs, e: -signs[e]}
+                assert not _signed_images_close_up(source, target, edge_map, wrong)
+            for seed in range(5):
+                assert compute_signs(source, target, edge_map, seed) == signs
+    assert flips == 6
 
 
 def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
@@ -480,12 +550,13 @@ def test_lift_op_reduces_each_class_once(monkeypatch):
     h, emap = relabelled(g, random.Random(5))
     calls = _count_q_reduce(monkeypatch)
     # The vertex images follow the edges of an isomorphic copy without a
-    # reduction: the one call is for E_phi.
+    # reduction, and its E_phi vector is zero before any reduction: no call.
     _lift_op(g, h, emap)
-    assert calls[0] == 1
-    # A series transposition moves the images of two edges of one class: the
-    # walk reduces once per tree edge whose image no longer leaves the image
-    # of the vertex it comes from.
+    assert calls[0] == 0
+    # A series transposition moves the images of two edges of one class: its
+    # E_phi vector is still zero here, and the walk reduces once per tree
+    # edge whose image no longer leaves the image of the vertex it comes
+    # from, which is once.
     blocks = [b for b in series_classes(h) if len(b) >= 2 and h.base_edge not in b]
     assert blocks
     to_src = {r: e for e, r in emap.items()}
@@ -495,7 +566,19 @@ def test_lift_op_reduces_each_class_once(monkeypatch):
         swapped[to_src[a]], swapped[to_src[b]] = b, a
         calls[0] = 0
         _lift_op(g, h, swapped)
-        assert 1 < calls[0] <= 3
+        assert calls[0] == 1
+
+
+def test_zero_rigidity_vector_is_not_reduced(monkeypatch):
+    """E_phi of a map induced by a vertex bijection is the zero vector
+    before any reduction, so it is returned without one."""
+    g = cycle_plus_chords(16, 8, 3)
+    calls = _count_q_reduce(monkeypatch)
+    for m in (identity_morphism(g), make_morphism(g, *relabelled(g, random.Random(7)))):
+        calls[0] = 0
+        rigidity = m.rigidity
+        assert calls[0] == 0
+        assert rigidity == DivisorClass(m.target, Divisor(m.target))
 
 
 def test_matroid_lift_reads_vertex_images_only_at_rigid_anchors(monkeypatch):
