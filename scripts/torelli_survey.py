@@ -7,8 +7,10 @@ checks that the four predicates (zero rigidity divisor, commuting diagram on
 full orientations, theta preservation, degree-1 image preservation) agree on
 every sampled morphism.  The `done` line ends with the seconds spent in
 catalogue enumeration, in sampling and in each predicate; a predicate is
-charged for the morphism data it is the first to build (`is_rigid` builds
-phi_* and E_phi, which the others reuse).
+charged for the morphism data it is the first to build: `is_rigid` builds
+phi_* and E_phi, which the others reuse, and `theta_preserved` builds the
+reduced vertex images (`OrCycMorphism.reduced_images`), which
+`s1_image_preserved` then reads with no q-reduction.
 """
 
 import argparse

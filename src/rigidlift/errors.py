@@ -42,15 +42,17 @@ class NoCommonCycle(RigidliftError):
 # -- divisors ----------------------------------------------------------------
 
 class EnumerationBoundExceeded(RigidliftError):
-    """An enumeration found `reached` items, more than its bound `limit`."""
+    """An enumeration found `reached` items, more than its bound `limit`;
+    `what` names the items."""
 
-    def __init__(self, limit, reached):
+    def __init__(self, limit, reached, what="classes"):
         super().__init__(limit, reached)
         self.limit = limit
         self.reached = reached
+        self.what = what
 
     def __str__(self):
-        return f"more than {self.limit} classes"
+        return f"more than {self.limit} {self.what}"
 
 
 class WrongDegree(RigidliftError):

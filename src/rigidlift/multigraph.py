@@ -28,6 +28,9 @@ from .errors import (
 )
 
 MAX_ARCHES = 10**4  # find_arches raises past this many arches (each holds two edge sets)
+# cycle_through_edges raises past this many depth-first steps: ten times the
+# most that one call takes in the test suite (82,981).
+MAX_PATH_STEPS = 830_000
 
 
 def id_key(x):
@@ -305,56 +308,55 @@ def series_classes(g):
 
 
 def cycle_through_edges(g, a, b, seed=None):
-    """A simple cycle through both edges, deterministic unless seeded."""
+    """A simple cycle through both edges, deterministic unless seeded.  The
+    search over simple paths is exponential; it raises past MAX_PATH_STEPS
+    steps, each extending the path by one edge."""
     if a == b or not (g.has_edge(a) and g.has_edge(b)):
         raise NoCommonCycle(f"need two distinct edges, got {a!r}, {b!r}")
     rng = random.Random(seed) if seed is not None else None
     start, first_stop = g.o(a), g.t(a)
-    target = start
 
     def frame(v):
         candidates = g.incident(v)
         if rng is not None:
             rng.shuffle(candidates)
-        return [v, candidates, 0]
+        return v, iter(candidates)
 
     # Depth-first search over simple paths extending edge `a` forward, on an
-    # explicit stack of [vertex, its candidate edges, next position].  Every
+    # explicit stack of (vertex, iterator over its candidate edges).  Every
     # frame but the first was entered by one step of `path`, undone on exit.
     path = [(a, 1, first_stop)]
     used_edges = {a}
     visited = {start, first_stop}
     stack = [frame(first_stop)]
-    res = None
-    while stack and res is None:
-        top = stack[-1]
-        current, candidates, pos = top
-        if pos == len(candidates):
+    steps = 0
+    while stack:
+        current, candidates = stack[-1]
+        for e in candidates:
+            if e in used_edges:
+                continue
+            o, t = g.ends(e)
+            w, sign = (t, 1) if o == current else (o, -1)
+            if w == start:
+                if b in used_edges or e == b:
+                    return EdgePath.walk(start, path + [(e, sign, w)])
+            elif w not in visited:
+                break
+        else:
             stack.pop()
             if stack:
                 e, _, w = path.pop()
                 used_edges.discard(e)
                 visited.discard(w)
             continue
-        top[2] = pos + 1
-        e = candidates[pos]
-        if e in used_edges:
-            continue
-        w = g.other_end(e, current)
-        sign = 1 if g.o(e) == current else -1
-        if w == target:
-            if b in used_edges or e == b:
-                res = path + [(e, sign, w)]
-            continue
-        if w in visited:
-            continue
+        steps += 1
+        if steps > MAX_PATH_STEPS:
+            raise EnumerationBoundExceeded(MAX_PATH_STEPS, MAX_PATH_STEPS + 1, "search steps")
         path.append((e, sign, w))
         used_edges.add(e)
         visited.add(w)
         stack.append(frame(w))
-    if res is None:
-        raise NoCommonCycle(f"no simple cycle through {a!r} and {b!r}")
-    return EdgePath.walk(start, res)
+    raise NoCommonCycle(f"no simple cycle through {a!r} and {b!r}")
 
 
 class CycleBasis(NamedTuple):
@@ -512,7 +514,7 @@ def find_arches(g):
         if k < 2:
             continue
         if len(arches) + (((1 << k) - 2) << len(direct)) > MAX_ARCHES:
-            raise EnumerationBoundExceeded(MAX_ARCHES, MAX_ARCHES + 1)
+            raise EnumerationBoundExceeded(MAX_ARCHES, MAX_ARCHES + 1, "arches")
         parts += direct
         all_bridges = (1 << k) - 1
         for mask in range(1, 1 << len(parts)):

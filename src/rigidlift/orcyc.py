@@ -136,50 +136,53 @@ class OrCycMorphism:
 
     @cached_property
     def rigidity(self):
-        """E_phi = phi_*[c(O_G)] - [c(phi_O(O_G))] (see `rigidity_divisor`)
-        from two coefficient vectors: O_G points each edge e at t(e), and
-        phi_O(O_G) points phi(e) at t(phi e) if sgn(e) = +1, else at o(phi e).
-        `diagram_defect` at `base_orientation` gives the same class.  A zero
-        vector, as from an isomorphism keeping t(base), is reduced as it is."""
-        g, h = self.source, self.target
-        emap, sgn = self.edge_dict, self.sign_dict
-        source_index, target_index = g.vertex_index, h.vertex_index
-        chern = [-1] * len(source_index)
-        minus_image = [1] * len(target_index)
+        """E_phi = phi_*[c(O_G)] - [c(phi_O(O_G))] (see `rigidity_divisor`):
+        `diagram_defect` at O_G, which points each edge e at t(e), read off
+        the edges with no orientation object."""
+        g = self.source
+        index = g.vertex_index
+        chern = [-1] * len(index)
         for e in g.edge_ids:
-            chern[source_index[g.t(e)]] += 1
-            r = emap[e]
-            minus_image[target_index[h.t(r) if sgn[e] == 1 else h.o(r)]] -= 1
-        pushed = self.push(Divisor._of(g, chern)).vector
-        d = Divisor._of(h, [a + b for a, b in zip(pushed, minus_image)])
-        return DivisorClass(h, d) if any(d.vector) else DivisorClass._of_reduced(h, d)
+            chern[index[g.t(e)]] += 1
+        return _defect(self, Divisor._of(g, chern), [1] * len(g.edge_ids))
 
     @cached_property
-    def vertex_image(self):
-        """Source vertex p -> the target vertex r with phi_*[p] = [r], or None.
+    def reduced_images(self):
+        """Source vertex v -> (R_v, r): the nonzero (target index, coefficient)
+        pairs, in any order, of R_v, the reduced form of phi_*(v - t0) at
+        q = t0' = t(base'), and the target vertex r with phi_*[v] = [r], or None.
 
-        A walk down the tree of `push` from t0, whose image is t0'.  Across an
-        edge u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
+        A walk down the tree of `push` from t0 (R = 0, r = q).  Across an edge
+        u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
         c [t(r) - o(r)], so if u goes to the end of r that this step leaves,
-        w goes to the other end.  Otherwise push(w) is q-reduced once.  In a
-        2-edge-connected graph every component of H - y meets y in at least
-        2 edges, so the single chip y is already reduced (Dhar's burning):
-        [push(w)] is a vertex class iff its reduced form is one chip, and
-        that chip names the vertex."""
+        w goes to the other end y, and R_w = y - q: in a 2-edge-connected graph
+        the chip y is reduced (Dhar's burning: each component of H - y meets y
+        in 2 or more edges).  Otherwise push(w) is q-reduced once: [w] is a
+        vertex class iff that form is one chip, and R_w is that form minus q."""
         g, h = self.source, self.target
-        emap, sgn = self.edge_dict, self.sign_dict
-        image = {g.base_head: h.base_head}
+        emap, sgn, index = self.edge_dict, self.sign_dict, h.vertex_index
+        t0, q, qi = g.base_head, h.base_head, index[h.base_head]
+        images, minus_q = {t0: ((), q)}, (qi, -1)
         for u, e, w in cycle_basis(g, None).tree:
-            r = emap[e]
-            forward = (g.t(e) == w) == (sgn[e] == 1)
-            left, entered = (h.o(r), h.t(r)) if forward else (h.t(r), h.o(r))
-            if image[u] == left:
-                image[w] = entered
+            o, t = h.ends(emap[e])
+            left, y = (o, t) if (g.t(e) == w) == (sgn[e] == 1) else (t, o)
+            if images[u][1] == left:
+                pairs = () if y == q else ((index[y], 1), minus_q)
             else:
                 reduced = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
                 chips = reduced.items()
-                image[w] = chips[0][0] if len(chips) == 1 and chips[0][1] == 1 else None
-        return {p: image[p] for p in g.vertex_ids}
+                y = chips[0][0] if len(chips) == 1 and chips[0][1] == 1 else None
+                r_w = list(reduced.vector)
+                r_w[qi] -= 1
+                pairs = tuple((i, a) for i, a in enumerate(r_w) if a)
+            images[w] = pairs, y
+        return images
+
+    @cached_property
+    def vertex_image(self):
+        """Source vertex p -> the r of `reduced_images`: phi_*[p] = [r], or None."""
+        images = self.reduced_images
+        return {p: images[p][1] for p in self.source.vertex_ids}
 
     def __repr__(self):
         return f"OrCycMorphism({self.source!r} -> {self.target!r})"
@@ -336,10 +339,27 @@ def lowering_divisor(m, edge_set):
 
 
 def diagram_defect(m, u):
-    """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target; phi_O
-    goes first, as it checks that U is on the source."""
-    pushed = pushforward_orientation(m, u)
-    return DivisorClass(m.target, m.push(chern_class(u)) - chern_class(pushed))
+    """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target.  U must
+    be on the source (ValidationError), then `chern_class` refuses a
+    bioriented edge; c(phi_O(U)) is read off U's states and the signs."""
+    if u.graph != m.source:
+        raise ValidationError("the orientation is not on the source")
+    return _defect(m, chern_class(u), map(u.sgn, m.source.edge_ids))
+
+
+def _defect(m, chern, states):
+    """phi_*[chern] - [c(phi_O(U))], chern = c(U) and `states` +1, -1 or 0 per
+    source edge (id order) as U points e at t(e), at o(e) or not: phi_O(U) points
+    phi(e) at t(phi e) iff its state is sgn(e).  A zero vector is not reduced."""
+    h = m.target
+    emap, sgn, index = m.edge_dict, m.sign_dict, h.vertex_index
+    d = [a + 1 for a in m.push(chern).vector]  # minus c(phi_O(U)): + 1 per vertex, - its heads
+    for e, s in zip(m.source.edge_ids, states):
+        if s:
+            o, t = h.ends(emap[e])
+            d[index[t if s == sgn[e] else o]] -= 1
+    d = Divisor._of(h, d)
+    return DivisorClass(h, d) if any(d.vector) else DivisorClass._of_reduced(h, d)
 
 
 def _require_genus(m):
@@ -370,30 +390,25 @@ def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
 
 def _theta_escapes(m, classes):
     """The classes among `classes` (of Θ_G), in order, that phi_* carries out
-    of Θ_H.  Let R_v be the q-reduced form of phi_*(v - t0) (R_t0 = 0); it
-    is >= 0 off q, so w_v = -R_v(q) >= 0.  A class s - |s| t0 of Θ_G (s
-    superstable) goes to the class of D - (g - 1) q, D = sum s(v) R_v +
-    (g - 1) q, which is >= 0 off q with D(q) = g - 1 - sum s(v) w_v: when
-    that sum is at most g - 1 the image lies in Θ_H, else D is reduced once."""
-    g, h = m.source, m.target
-    q, t0 = h.base_head, g.vertex_index[g.base_head]
-    qi, n = h.vertex_index[q], len(g.vertex_ids)
-    reduced = []  # R_v in source vertex order
-    for i in range(n):
-        if i == t0:
-            reduced.append((0,) * len(h.vertex_ids))
-        else:
-            unit = [0] * n
-            unit[i], unit[t0] = 1, -1
-            reduced.append(q_reduce(h, m.push(Divisor._of(g, unit)), q).vector)
-    columns = list(zip(*reduced))  # columns[j][i] = R_v(j), v the i-th source vertex
-    weight = [-a for a in columns[qi]]
-    slack = g.genus - 1
+    of Θ_H.  R_v (`reduced_images`, R_t0 = 0) is >= 0 off q, so
+    w_v = -R_v(q) >= 0.  A class s - |s| t0 of Θ_G (s superstable) goes to
+    the class of D - (g - 1) q, D = sum s(v) R_v + (g - 1) q, which is >= 0
+    off q with D(q) = g - 1 - sum s(v) w_v: when that sum is at most g - 1
+    the image lies in Θ_H, else D, summed from the pairs, is reduced once."""
+    h = m.target
+    q, qi = h.base_head, h.vertex_index[h.base_head]
+    reduced = [m.reduced_images[v][0] for v in m.source.vertex_ids]  # R_v in source order
+    weight = [-dict(pairs).get(qi, 0) for pairs in reduced]
+    slack = m.source.genus - 1
     for c in classes:
         s = c.representative.vector
         if sum(map(mul, s, weight)) > slack:
-            d = [sum(map(mul, s, column)) for column in columns]
-            d[qi] += slack
+            d = [0] * len(h.vertex_ids)
+            d[qi] = slack
+            for k, pairs in zip(s, reduced):
+                if k:
+                    for i, a in pairs:
+                        d[i] += k * a
             if q_reduce(h, Divisor._of(h, d), q).vector[qi] < 0:
                 yield c
 

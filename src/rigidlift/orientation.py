@@ -13,6 +13,7 @@ from .errors import (
     BiorientedPresent,
     DegreeMismatch,
     DegreeTooHigh,
+    EnumerationBoundExceeded,
     InternalError,
     InvalidMove,
     QIsEffective,
@@ -26,6 +27,20 @@ from .divisor import (
     q_reduce,
 )
 from .multigraph import components, id_key
+
+# The two exhaustive scans, over the heads of the oriented edges in
+# `lift_divisor_to_orientation` and over compositions in
+# `_effective_representatives`, raise on reaching candidate MAX_CANDIDATES + 1.
+MAX_CANDIDATES = 2**16
+
+
+def _budgeted(candidates):
+    """The candidates, numbered from 1; EnumerationBoundExceeded on reaching
+    candidate MAX_CANDIDATES + 1."""
+    for n, candidate in enumerate(candidates, 1):
+        if n > MAX_CANDIDATES:
+            raise EnumerationBoundExceeded(MAX_CANDIDATES, MAX_CANDIDATES + 1, "candidates")
+        yield candidate
 
 
 class EdgeState(enum.Enum):
@@ -377,7 +392,8 @@ class NotPartiallyOrientable:
 
 
 def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
-    """An orientation in O(G, X) with Chern class ~ d, or a certificate."""
+    """An orientation in O(G, X) with Chern class ~ d, or a certificate.  For
+    X non-empty the orientations of E - X are tried in turn (`_budgeted`)."""
     x = frozenset(unoriented_set)
     for e in x:
         if not g.has_edge(e):
@@ -400,7 +416,7 @@ def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
     free = [e for e in g.edge_ids if e not in x]
     index = g.vertex_index
     # Every choice of heads, t(e) (forward) before o(e), as chern_class sums them.
-    for heads in product(*((g.t(e), g.o(e)) for e in free)):
+    for heads in _budgeted(product(*((g.t(e), g.o(e)) for e in free))):
         coeffs = [-1] * len(index)
         for h in heads:
             coeffs[index[h]] += 1
@@ -450,14 +466,14 @@ def _orient_with_indegrees(g, demand):
 def _effective_representatives(g, reduced):
     """Effective divisors in the class whose representative reduced at
     t(base) is `reduced`, in a deterministic order, starting with it; each
-    other candidate costs one q-reduction."""
+    other candidate costs one q-reduction, and they are `_budgeted`."""
     q0 = g.base_head
     yield reduced
     slots = reduced.degree + len(g.vertex_ids) - 1
     # Stars and bars: n - 1 bars among `slots` places cut the degree into n
     # parts, and bar positions in lexicographic order give the parts in
     # lexicographic order.
-    for bars in combinations(range(slots), len(g.vertex_ids) - 1):
+    for bars in _budgeted(combinations(range(slots), len(g.vertex_ids) - 1)):
         coeffs = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
         d = Divisor._of(g, coeffs)
         if d != reduced and q_reduce(g, d, q0) == reduced:

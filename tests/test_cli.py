@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import digon_cycle_pair, two_sum_whitney_flip
+from helpers import cycle_plus_chords, digon_cycle_pair, two_sum_whitney_flip
 
 import rigidlift
 from rigidlift import cli
@@ -576,6 +576,23 @@ class TestCliOrient:
             ],
         )
         assert code == 0 and out["branch"] == "acyclic"
+
+    def test_liftdiv_past_the_candidate_bound_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        # 2^11 orientations of the edges off the unoriented set are tried.
+        g = cycle_plus_chords(8, 5, 1)
+        graph = tmp_path / "chords.graph"
+        lines = [f"edge {e} {g.o(e)} {g.t(e)}\n" for e in g.edge_ids]
+        graph.write_text("".join(lines) + f"base {g.base_edge}\n")
+        monkeypatch.setattr(rigidlift.orientation, "MAX_CANDIDATES", 100)
+        argv = ["--no-timings", "orient", str(graph), "liftdiv", "y0:3", "--unoriented", "c0,c9"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert out["error"] == {
+            "type": "EnumerationBoundExceeded",
+            "message": "more than 100 candidates",
+            "limit": 100,
+            "reached": 101,
+        }
 
     def test_certify_on_long_cycle_needs_no_recursion(self, tmp_path):
         n = 1200

@@ -1,6 +1,7 @@
 """Source hygiene of the library modules, read with `ast`: every imported
-name is used, in the library and in scripts/, and every module-level
-private function is referenced somewhere in the package."""
+name is used, in the library and in scripts/, every module-level
+private function is referenced somewhere in the package, and every
+module-level search budget is set by some test."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,29 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_every_budget_is_monkeypatched_by_a_test():
+    """Each module-level MAX_* constant of the library is the second argument
+    of some `setattr` call in tests/, so each budget keeps a test that drives
+    its search past a lowered bound."""
+    budgets = {
+        target.id
+        for p in MODULES
+        for node in _tree(p).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    patched = {
+        node.args[1].value
+        for path in (ROOT / "tests").glob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setattr"
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+    }
+    assert budgets >= {"MAX_ARCHES", "MAX_CANDIDATES", "MAX_PATH_STEPS"}
+    assert sorted(budgets - patched) == []

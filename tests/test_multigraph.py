@@ -1,17 +1,26 @@
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs_isomorphic
-from helpers import brute_force_spanning_trees, catalogue, enumerate_small_graphs, random_multigraph
+from helpers import (
+    brute_force_spanning_trees,
+    catalogue,
+    cycle_plus_chords,
+    enumerate_small_graphs,
+    random_multigraph,
+)
 from reference_structure import is_connected
 
 from rigidlift.errors import (
     BaseEdgeInArch,
     Disconnected,
     DuplicateEdgeId,
+    EnumerationBoundExceeded,
     LoopEdge,
     MissingBaseEdge,
     NoCommonCycle,
@@ -19,6 +28,7 @@ from rigidlift.errors import (
 )
 from rigidlift.homology import lattice_for, path_cochain
 from rigidlift.multigraph import (
+    MAX_PATH_STEPS,
     build_graph,
     connectivity_profile,
     cycle_through_edges,
@@ -243,6 +253,27 @@ class TestCycles:
         path = cycle_through_edges(g, "e0", "e600")
         assert path.is_cycle
         assert set(path.edges) == set(g.edge_ids)
+
+    def test_search_stops_past_its_bound(self, monkeypatch):
+        # Round a cycle of 1200 vertices the path takes 1198 steps.
+        n = 1200
+        g = build_graph([(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)], "e0")
+        module = sys.modules["rigidlift.multigraph"]
+        monkeypatch.setattr(module, "MAX_PATH_STEPS", 1198)
+        assert set(cycle_through_edges(g, "e0", "e600").edges) == set(g.edge_ids)
+        monkeypatch.setattr(module, "MAX_PATH_STEPS", 1197)
+        with pytest.raises(EnumerationBoundExceeded) as exc:
+            cycle_through_edges(g, "e0", "e600")
+        assert (exc.value.limit, exc.value.reached) == (1197, 1198)
+
+    def test_search_on_a_chorded_64_cycle_raises_quickly(self):
+        # Unbounded, this search ran for more than 20 s.
+        g = cycle_plus_chords(64, 32, 64)
+        start = time.process_time()
+        with pytest.raises(EnumerationBoundExceeded) as exc:
+            cycle_through_edges(g, "c1", "c64")
+        assert time.process_time() - start < 2
+        assert (exc.value.limit, exc.value.reached) == (MAX_PATH_STEPS, MAX_PATH_STEPS + 1)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from rigidlift.errors import (
     BiorientedPresent,
     DegreeMismatch,
     DegreeTooHigh,
+    EnumerationBoundExceeded,
     InvalidMove,
     QIsEffective,
 )
@@ -407,3 +410,44 @@ class TestSourcelessAcyclicDichotomy:
             special = classify_gminus1(K, q) is Classification.SPECIAL
             assert isinstance(w, SourcelessWitness) == special
             assert isinstance(w, AcyclicWitness) == (not special)
+
+
+class TestSearchBudget:
+    """Both exhaustive scans answer as before within MAX_CANDIDATES and
+    raise EnumerationBoundExceeded(MAX, MAX + 1) on reaching candidate MAX + 1."""
+
+    def _bound(self, monkeypatch, bound):
+        monkeypatch.setattr(sys.modules["rigidlift.orientation"], "MAX_CANDIDATES", bound)
+
+    def test_orientation_scan_stops_past_its_bound(self, monkeypatch):
+        from helpers import cycle_plus_chords
+
+        # No orientation of the 11 edges off X fits: all 2^11 are tried.
+        g = cycle_plus_chords(8, 5, 1)
+        x, d = frozenset({"c0", "c9"}), Divisor(g, {"y0": 3})
+        expected = lift_divisor_to_orientation(g, d, x)
+        assert isinstance(expected, NotPartiallyOrientable) and expected.class_orientable
+        tried = 2 ** (len(g.edge_ids) - len(x))
+        self._bound(monkeypatch, tried)
+        assert lift_divisor_to_orientation(g, d, x) == expected
+        for bound in (tried - 1, 100):
+            self._bound(monkeypatch, bound)
+            with pytest.raises(EnumerationBoundExceeded) as exc:
+                lift_divisor_to_orientation(g, d, x)
+            assert (exc.value.limit, exc.value.reached) == (bound, bound + 1)
+
+    def test_sourceless_scan_stops_past_its_bound(self, monkeypatch):
+        from helpers import cycle_plus_chords
+
+        # The class whose sourceless witness is the 81st composition tried.
+        g = cycle_plus_chords(7, 3, 0)
+        q = Divisor(g, {"y1": 1, "y2": 2})
+        expected = effectiveness_certificate(g, q)
+        assert isinstance(expected, SourcelessWitness)
+        self._bound(monkeypatch, 81)
+        assert effectiveness_certificate(g, q) == expected
+        for bound in (80, 10):
+            self._bound(monkeypatch, bound)
+            with pytest.raises(EnumerationBoundExceeded) as exc:
+                effectiveness_certificate(g, q)
+            assert (exc.value.limit, exc.value.reached) == (bound, bound + 1)

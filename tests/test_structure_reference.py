@@ -26,6 +26,7 @@ from helpers import (
 from rigidlift.divisor import Divisor, DivisorClass, q_reduce, theta_divisor, vertex_divisor
 from rigidlift.errors import (
     BaseNotPreserved,
+    BiorientedPresent,
     EnumerationBoundExceeded,
     InternalError,
     InvalidCyclicBijection,
@@ -34,6 +35,7 @@ from rigidlift.errors import (
     NotTwoConnected,
     NotTwoEdgeConnected,
     RigidliftError,
+    ValidationError,
 )
 from rigidlift.multigraph import (
     biconnectivity,
@@ -45,7 +47,7 @@ from rigidlift.multigraph import (
     series_classes,
     spanning_tree_count,
 )
-from rigidlift.orientation import PartialOrientation, base_orientation
+from rigidlift.orientation import EdgeState, PartialOrientation, base_orientation
 from rigidlift.orcyc import (
     MatroidLift,
     compose,
@@ -818,3 +820,69 @@ def test_theta_preserved_on_a_large_non_rigid_flip_reduces_less_than_theta(monke
     degrees = _record_q_reduce(monkeypatch)
     assert not theta_preserved(m)
     assert 0 < len(degrees) < len(theta)
+
+
+def test_reduced_images_match_reduction_of_every_vertex():
+    """Each `reduced_images` entry against a fresh reduction: its pairs are
+    the nonzero entries of q_reduce(push(v - t0)), push built afresh, and its
+    vertex is the reference vertex image (every class reduced)."""
+    kinds = Counter()
+    for m in _theta_morphisms():
+        g, h = m.source, m.target
+        push, q = ref.pushforward(m), h.base_head
+        vertex = ref.vertex_image(m)
+        images = m.reduced_images
+        assert images.keys() == g.vertices
+        for v, (pairs, r) in images.items():
+            unit = vertex_divisor(g, v) - vertex_divisor(g, g.base_head)
+            reduced = q_reduce(h, push(unit), q).vector
+            assert sorted(pairs) == [(i, a) for i, a in enumerate(reduced) if a]
+            assert r == vertex[v]
+            kinds["vertex" if r is not None else "not a vertex"] += 1
+    assert min(kinds.values()) > 1000
+
+
+def test_survey_predicates_on_an_isomorphic_copy_reduce_nothing(monkeypatch):
+    """On a relabelled copy every step of the vertex-image walk leaves the
+    image of its parent and every class of Θ passes the weight test, and
+    the defect vector at the base orientation is zero: no reduction."""
+    g = cycle_plus_chords(16, 8, 3)
+    m = make_morphism(g, *relabelled(g, random.Random(5)))
+    degrees = _record_q_reduce(monkeypatch)
+    assert theta_preserved(m) and s1_image_preserved(m)
+    assert diagram_defect(m, base_orientation(g)).is_zero
+    assert degrees == []
+
+
+def test_s1_image_after_theta_preserved_reduces_nothing(monkeypatch):
+    """Θ preservation builds the shared vertex images, reducing where a
+    transposed edge breaks the walk; the degree-1 image then reads them."""
+    degrees = _record_q_reduce(monkeypatch)
+    graphs = [cycle_plus_chords(n, 3, n) for n in (8, 10)]
+    morphisms = [m for g in graphs for m in series_transposition_morphisms(g, limit=2)]
+    walks_that_reduce = 0
+    for m in morphisms:
+        degrees.clear()
+        theta_preserved(m)
+        walks_that_reduce += bool(degrees)
+        degrees.clear()
+        assert s1_image_preserved(m)
+        assert degrees == []
+    assert walks_that_reduce > 0
+
+
+def test_diagram_defect_builds_no_pushed_orientation(monkeypatch):
+    """The defect reads c(phi_O(U)) off U's states and the signs, and still
+    refuses U off the source before a bioriented edge."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pushforward_orientation called")
+
+    monkeypatch.setattr(sys.modules["rigidlift.orcyc"], "pushforward_orientation", forbidden)
+    m = whitney_morphisms(cycle_plus_chords(8, 3, 0), limit=1)[0]
+    g, h = m.source, m.target
+    assert diagram_defect(m, base_orientation(g)) == m.rigidity
+    bioriented = {g.edge_ids[0]: EdgeState.BIORIENTED}
+    with pytest.raises(BiorientedPresent):
+        diagram_defect(m, PartialOrientation(g, bioriented))
+    with pytest.raises(ValidationError):
+        diagram_defect(m, PartialOrientation(h, bioriented))
