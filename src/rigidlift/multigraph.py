@@ -289,19 +289,35 @@ def _max_flow(g, s, t):
 
 
 def series_classes(g):
-    """Partition edges into series classes (pairs whose removal disconnects).
+    """Partition edges into series classes (pairs whose removal disconnects),
+    each class and the list of classes in edge-id order (`series_table`)."""
+    return list(dict.fromkeys(block for block, _ in series_table(g).values()))
+
+
+@lru_cache(maxsize=256)
+def series_table(g):
+    """Edge -> (its series class, its direction on the class's circuit).
 
     In a bridgeless graph two edges form a cut exactly when they lie on the
     same fundamental cycles, so the classes are the edges of equal
-    signature; an edge on no fundamental cycle is a bridge.  Each class and
-    the list of classes come out in edge-id order, since edges are met in
-    that order."""
-    blocks = {}
-    for e, signature in zip(g.edge_ids, cycle_basis(g, None).signatures):
+    signature; an edge on no fundamental cycle is a bridge.  The circuit is
+    the class's first fundamental cycle, and the direction +1 or -1 as that
+    cycle crosses the edge tail-to-head or not.  Edges are met in edge-id
+    order, so each class and the table come out in that order."""
+    basis = cycle_basis(g, None)
+    blocks, first = {}, {}
+    for e, signature in zip(g.edge_ids, basis.signatures):
         if not signature:
             raise NotTwoEdgeConnected("series classes require a 2-edge-connected graph")
         blocks.setdefault(signature, []).append(e)
-    return [tuple(b) for b in blocks.values()]
+        first[e] = (signature & -signature).bit_length() - 1
+    direction = {}
+    for i, cyc in enumerate(basis.cycles):
+        for e, s in zip(cyc.edges, cyc.signs):
+            if first[e] == i:
+                direction[e] = s
+    class_of = {e: block for block in map(tuple, blocks.values()) for e in block}
+    return {e: (class_of[e], direction[e]) for e in g.edge_ids}
 
 
 # -- cycles ------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .multigraph import (
     id_key,
     rooted_tree,
     series_classes,
+    series_table,
     tree_steps,
 )
 from .orientation import (
@@ -147,42 +148,71 @@ class OrCycMorphism:
         return _defect(self, Divisor._of(g, chern), [1] * len(g.edge_ids))
 
     @cached_property
+    def _walk(self):
+        """(images, reduced): images maps each source vertex v to the target
+        vertex r with phi_*[v] = [r], or None, and reduced maps each v with
+        r None to the pairs of R_v (see `reduced_images`).
+
+        A walk down the tree of `push` from t0 (r = q).  Across an edge
+        u -> w, phi_*[w] = phi_*[u] + c [t(r) - o(r)], r = phi(e) and c = +-sgn(e)
+        as the step crosses e tail-to-head or not.  The edges of a series
+        class of H, each oriented along one directed circuit C, have one
+        class [head - tail]: two of them form a 2-edge cut that C crosses once
+        each way, and firing the side that holds one's tail moves a chip
+        across each.  phi carries e's series class onto r's, and the image of
+        the class's circuit (`series_table`) crosses phi(f) from o to t iff
+        sgn(f) times f's direction on it is +1.  So if phi_*[u] = [x] and x
+        is the tail of phi(f) for an f of the class (tail and head taken the
+        way the step runs along C; for f = e, the end of r the step leaves),
+        w goes to its head y.  Otherwise push(w) is q-reduced once: [w] is a
+        vertex class iff that form is one chip, and else it is kept minus q."""
+        g, h = self.source, self.target
+        emap, sgn, series = self.edge_dict, self.sign_dict, series_table(g)
+        qi = h.vertex_index[h.base_head]
+        images, reduced = {g.base_head: h.base_head}, {}
+        for u, e, w in cycle_basis(g, None).tree:
+            x, y = images[u], None
+            block, way = series[e]
+            way = way if g.t(e) == w else -way  # +1 iff the step runs along C
+            for f in block:
+                o, t = h.ends(emap[f])
+                tail, head = (o, t) if way * series[f][1] * sgn[f] == 1 else (t, o)
+                if tail == x:
+                    y = head
+                    break
+            if y is None:
+                form = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
+                chips = form.items()
+                if len(chips) == 1 and chips[0][1] == 1:
+                    y = chips[0][0]
+                else:
+                    r_w = list(form.vector)
+                    r_w[qi] -= 1
+                    reduced[w] = tuple((i, a) for i, a in enumerate(r_w) if a)
+            images[w] = y
+        return images, reduced
+
+    @cached_property
     def reduced_images(self):
         """Source vertex v -> (R_v, r): the nonzero (target index, coefficient)
         pairs, in any order, of R_v, the reduced form of phi_*(v - t0) at
-        q = t0' = t(base'), and the target vertex r with phi_*[v] = [r], or None.
-
-        A walk down the tree of `push` from t0 (R = 0, r = q).  Across an edge
-        u -> w with r = phi(e) and c = +-sgn(e), phi_*[w] = phi_*[u] +
-        c [t(r) - o(r)], so if u goes to the end of r that this step leaves,
-        w goes to the other end y, and R_w = y - q: in a 2-edge-connected graph
-        the chip y is reduced (Dhar's burning: each component of H - y meets y
-        in 2 or more edges).  Otherwise push(w) is q-reduced once: [w] is a
-        vertex class iff that form is one chip, and R_w is that form minus q."""
-        g, h = self.source, self.target
-        emap, sgn, index = self.edge_dict, self.sign_dict, h.vertex_index
-        t0, q, qi = g.base_head, h.base_head, index[h.base_head]
-        images, minus_q = {t0: ((), q)}, (qi, -1)
-        for u, e, w in cycle_basis(g, None).tree:
-            o, t = h.ends(emap[e])
-            left, y = (o, t) if (g.t(e) == w) == (sgn[e] == 1) else (t, o)
-            if images[u][1] == left:
-                pairs = () if y == q else ((index[y], 1), minus_q)
-            else:
-                reduced = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
-                chips = reduced.items()
-                y = chips[0][0] if len(chips) == 1 and chips[0][1] == 1 else None
-                r_w = list(reduced.vector)
-                r_w[qi] -= 1
-                pairs = tuple((i, a) for i, a in enumerate(r_w) if a)
-            images[w] = pairs, y
-        return images
+        q = t0' = t(base'), and the r of `vertex_image`.  Where r is a vertex,
+        R_v = r - q, or 0 for r = q: in a 2-edge-connected graph the chip r
+        is reduced (Dhar's burning: each component of H - r meets r in 2 or
+        more edges).  Elsewhere `_walk` kept R_v."""
+        h = self.target
+        index, q = h.vertex_index, h.base_head
+        images, reduced = self._walk
+        minus_q = (index[q], -1)
+        return {
+            v: (reduced[v] if r is None else () if r == q else ((index[r], 1), minus_q), r)
+            for v, r in images.items()
+        }
 
     @cached_property
     def vertex_image(self):
-        """Source vertex p -> the r of `reduced_images`: phi_*[p] = [r], or None."""
-        images = self.reduced_images
-        return {p: images[p][1] for p in self.source.vertex_ids}
+        """Source vertex p -> the target vertex r with phi_*[p] = [r], or None."""
+        return self._walk[0]
 
     def __repr__(self):
         return f"OrCycMorphism({self.source!r} -> {self.target!r})"
@@ -341,9 +371,12 @@ def lowering_divisor(m, edge_set):
 def diagram_defect(m, u):
     """phi_*[c(U)] - [c(phi_O(U))] as a degree-0 class on the target.  U must
     be on the source (ValidationError), then `chern_class` refuses a
-    bioriented edge; c(phi_O(U)) is read off U's states and the signs."""
+    bioriented edge; c(phi_O(U)) is read off U's states and the signs.  At
+    the base orientation O_G the defect is E_phi, reduced once per morphism."""
     if u.graph != m.source:
         raise ValidationError("the orientation is not on the source")
+    if all(u.state(e) is EdgeState.FORWARD for e in m.source.edge_ids):
+        return m.rigidity
     return _defect(m, chern_class(u), map(u.sgn, m.source.edge_ids))
 
 

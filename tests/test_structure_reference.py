@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter, deque
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -556,9 +557,9 @@ def test_lift_op_reduces_each_class_once(monkeypatch):
     _lift_op(g, h, emap)
     assert calls[0] == 0
     # A series transposition moves the images of two edges of one class: its
-    # E_phi vector is still zero here, and the walk reduces once per tree
-    # edge whose image no longer leaves the image of the vertex it comes
-    # from, which is once.
+    # E_phi vector is still zero here, and where a tree edge's image no longer
+    # leaves the image of the vertex it comes from, the walk crosses another
+    # edge of the same class instead: no call either.
     blocks = [b for b in series_classes(h) if len(b) >= 2 and h.base_edge not in b]
     assert blocks
     to_src = {r: e for e, r in emap.items()}
@@ -568,7 +569,7 @@ def test_lift_op_reduces_each_class_once(monkeypatch):
         swapped[to_src[a]], swapped[to_src[b]] = b, a
         calls[0] = 0
         _lift_op(g, h, swapped)
-        assert calls[0] == 1
+        assert calls[0] == 0
 
 
 def test_zero_rigidity_vector_is_not_reduced(monkeypatch):
@@ -842,6 +843,65 @@ def test_reduced_images_match_reduction_of_every_vertex():
     assert min(kinds.values()) > 1000
 
 
+def _assert_reference_images(m):
+    """`reduced_images` of m equals the reduction of every pushed vertex."""
+    g, h = m.source, m.target
+    push, vertex = ref.pushforward(m), ref.vertex_image(m)
+    for v, (pairs, r) in m.reduced_images.items():
+        unit = vertex_divisor(g, v) - vertex_divisor(g, g.base_head)
+        reduced = q_reduce(h, push(unit), h.base_head).vector
+        assert sorted(pairs) == [(i, a) for i, a in enumerate(reduced) if a]
+        assert r == vertex[v]
+
+
+def _series_cycles(g):
+    """Edge maps of g that permute the edges of one series class off the
+    base: every transposition, and both 3-cycles of every three edges."""
+    identity = {e: e for e in g.edge_ids}
+    for block in series_classes(g):
+        free = [e for e in block if e != g.base_edge]
+        for a, b in combinations(free, 2):
+            yield {**identity, a: b, b: a}
+        for a, b, c in combinations(free, 3):
+            yield {**identity, a: b, b: c, c: a}
+            yield {**identity, a: c, c: b, b: a}
+
+
+def test_series_cycles_walk_with_no_reduction(monkeypatch):
+    """A map that permutes the edges of a series class breaks the walk where
+    a step's edge no longer leaves its parent's image; the step crosses
+    another edge of the class instead, so the images of every transposition
+    and 3-cycle, onto the graph or a relabelled copy, need no reduction."""
+    g = cycle_plus_chords(16, 8, 3)
+    assert max(map(len, series_classes(g))) >= 4
+    h, relabel = relabelled(g, random.Random(5))
+    calls = _count_q_reduce(monkeypatch)
+    maps = 0
+    for sigma in _series_cycles(g):
+        for target, emap in ((g, sigma), (h, {e: relabel[r] for e, r in sigma.items()})):
+            m = make_morphism(g, target, emap)
+            calls[0] = 0
+            m.reduced_images
+            assert calls[0] == 0
+            _assert_reference_images(m)
+            maps += 1
+    assert maps == 2 * (5 + 2)
+
+
+def test_whitney_flip_walk_still_reduces(monkeypatch):
+    """A Whitney flip that moves vertex classes off vertices has steps that
+    find no edge of their class to cross, and reduces there; its images
+    match the reference too."""
+    calls = _count_q_reduce(monkeypatch)
+    reductions = []
+    for m in whitney_morphisms(cycle_plus_chords(16, 8, 3), limit=3):
+        calls[0] = 0
+        m.reduced_images
+        reductions.append(calls[0])
+        _assert_reference_images(m)
+    assert max(reductions) > 0
+
+
 def test_survey_predicates_on_an_isomorphic_copy_reduce_nothing(monkeypatch):
     """On a relabelled copy every step of the vertex-image walk leaves the
     image of its parent and every class of Θ passes the weight test, and
@@ -855,18 +915,21 @@ def test_survey_predicates_on_an_isomorphic_copy_reduce_nothing(monkeypatch):
 
 
 def test_s1_image_after_theta_preserved_reduces_nothing(monkeypatch):
-    """Θ preservation builds the shared vertex images, reducing where a
-    transposed edge breaks the walk; the degree-1 image then reads them."""
+    """Θ preservation builds the shared vertex images, reducing where a step
+    of the walk crosses no edge of its class out of its parent's image, as
+    a Whitney flip's does; the degree-1 image then reads them."""
     degrees = _record_q_reduce(monkeypatch)
     graphs = [cycle_plus_chords(n, 3, n) for n in (8, 10)]
-    morphisms = [m for g in graphs for m in series_transposition_morphisms(g, limit=2)]
+    flips = [m for g in graphs for m in whitney_morphisms(g, limit=2)]
+    morphisms = flips + [compose(f, t) for f in flips for t in series_transposition_morphisms(f.source, limit=1)]
     walks_that_reduce = 0
     for m in morphisms:
+        expected = set(ref.vertex_image(m).values()) == m.target.vertices
         degrees.clear()
         theta_preserved(m)
-        walks_that_reduce += bool(degrees)
+        walks_that_reduce += 1 in degrees  # a pushed vertex has degree 1
         degrees.clear()
-        assert s1_image_preserved(m)
+        assert s1_image_preserved(m) == expected
         assert degrees == []
     assert walks_that_reduce > 0
 
