@@ -224,26 +224,16 @@ def build_graph(edge_list, base_edge):
 
 
 def biconnectivity(g):
-    """(no cut vertex, no bridge), read off the cycle basis.  A bridge is an
-    edge of zero signature.  With 3 or more vertices g has no cut vertex iff
-    its cycle matroid is connected (Whitney), that is iff it is bridgeless
-    and its fundamental cycles form one class under sharing an edge; the
-    class of cycle 0 is spread once, each newly reached cycle pushed once."""
-    basis = cycle_basis(g, None)
-    bridgeless = all(basis.signatures)
+    """(no cut vertex, no bridge), read off the cycle signatures.  A bridge
+    is an edge of zero signature.  With 3 or more vertices g has no cut
+    vertex iff its cycle matroid is connected (Whitney), that is iff it is
+    bridgeless and the signatures tie every fundamental cycle to cycle 0
+    (`tie_bits`)."""
+    signatures = cycle_basis(g, None).signatures
+    bridgeless = all(signatures)
     if len(g.vertices) < 3 or not bridgeless:
         return (len(g.vertices) == 2, bridgeless)
-    signature = dict(zip(g.edge_ids, basis.signatures))
-    reached, stack = 1, [0]
-    while stack:
-        for e in basis.cycles[stack.pop()].edges:
-            new = signature[e] & ~reached
-            reached |= new
-            while new:
-                low = new & -new
-                stack.append(low.bit_length() - 1)
-                new ^= low
-    return (reached == (1 << len(basis.cycles)) - 1, True)
+    return (tie_bits([(s, 0) for s in signatures], 0, g.genus)[0] == (1 << g.genus) - 1, True)
 
 
 def connectivity_profile(g):
@@ -305,19 +295,14 @@ def series_table(g):
     cycle crosses the edge tail-to-head or not.  Edges are met in edge-id
     order, so each class and the table come out in that order."""
     basis = cycle_basis(g, None)
-    blocks, first = {}, {}
+    blocks = {}
     for e, signature in zip(g.edge_ids, basis.signatures):
         if not signature:
             raise NotTwoEdgeConnected("series classes require a 2-edge-connected graph")
         blocks.setdefault(signature, []).append(e)
-        first[e] = (signature & -signature).bit_length() - 1
-    direction = {}
-    for i, cyc in enumerate(basis.cycles):
-        for e, s in zip(cyc.edges, cyc.signs):
-            if first[e] == i:
-                direction[e] = s
     class_of = {e: block for block in map(tuple, blocks.values()) for e in block}
-    return {e: (class_of[e], direction[e]) for e in g.edge_ids}
+    masks = zip(g.edge_ids, basis.signatures, basis.forward)
+    return {e: (class_of[e], 1 if forward & s & -s else -1) for e, s, forward in masks}
 
 
 # -- cycles ------------------------------------------------------------------
@@ -376,80 +361,120 @@ def cycle_through_edges(g, a, b, seed=None):
 
 
 class CycleBasis(NamedTuple):
-    """Fundamental cycles of one spanning tree, one per non-tree edge in
-    edge-id order; each edge's GF(2) signature (aligned with `edge_ids`):
-    the bitmask of the fundamental cycles that contain it; and the tree as
-    its `bfs_tree` steps."""
+    """A spanning tree as its `bfs_tree` steps, and two GF(2) masks per edge
+    (aligned with `edge_ids`) over its fundamental cycles, bit i the cycle
+    of the i-th non-tree edge e in edge-id order, which crosses e
+    tail-to-head and returns from t(e) to o(e) through the tree:
+    `signatures`, the cycles through the edge, and `forward`, those of them
+    that cross it tail-to-head."""
 
-    cycles: tuple
-    signatures: tuple
     tree: tuple
+    signatures: tuple
+    forward: tuple
 
 
 @lru_cache(maxsize=256)
 def cycle_basis(g, seed):
-    """The fundamental cycles, edge signatures and spanning tree of g.  The
-    tree is `bfs_tree` from t(base) when `seed` is None, else from a vertex
-    drawn from `seed`; pass `seed` positionally, so that one graph has one
-    cache entry.  Each cycle crosses its non-tree edge e tail-to-head and
-    returns from t(e) to o(e) through the tree."""
+    """The `CycleBasis` of g, walking no cycle (`cycle_masks`): its tree is
+    `bfs_tree` from t(base), or from a vertex drawn from `seed` if one is
+    given; pass `seed` positionally, so that one graph has one cache entry."""
     root = g.base_head if seed is None else random.Random(seed).choice(g.vertex_ids)
     tree = tuple(bfs_tree(g, root))
-    up = {w: (e, u) for u, e, w in tree}  # vertex -> (tree edge to its parent, parent)
-    depth = {root: 0}
-    for u, _, w in tree:
-        depth[w] = depth[u] + 1
     tree_edges = {e for _, e, _ in tree}
-    cycles = []
-    bits = dict.fromkeys(g.edge_ids, 0)
-    for e in g.edge_ids:
-        if e in tree_edges:
-            continue
+    chords = (e for e in g.edge_ids if e not in tree_edges)
+    masks = cycle_masks(g, tree, {e: 1 << i for i, e in enumerate(chords)})
+    return CycleBasis(tree, *zip(*(masks[e] for e in g.edge_ids)))
+
+
+def cycle_masks(g, tree, bits):
+    """Edge -> (signature, forward) as in `CycleBasis`, for a spanning tree of
+    g as (u, e, w) steps, parents first, and `bits`: non-tree edge -> its
+    cycle's bit.  A tree step lies on the cycles of the non-tree edges with
+    one end below it, and such a cycle climbs across it iff that edge's head
+    is below: both masks are per-vertex masks XOR-ed up the tree."""
+    ends = dict.fromkeys(g.vertex_ids, 0)  # vertex -> bits of the non-tree edges at it
+    heads = dict.fromkeys(g.vertex_ids, 0)  # vertex -> bits of those with their head there
+    masks = {}
+    for e, b in bits.items():
         o, t = g.ends(e)
-        steps = [(e, 1, t)] + tree_steps(g, up, depth, t, o)
-        for f, _, _ in steps:
-            bits[f] |= 1 << len(cycles)
-        cycles.append(EdgePath.walk(o, steps))
-    return CycleBasis(tuple(cycles), tuple(bits.values()), tree)
+        ends[o] ^= b
+        ends[t] ^= b
+        heads[t] ^= b
+        masks[e] = (b, b)
+    for u, e, w in reversed(tree):
+        s = ends[w]
+        climbing = heads[w] & s
+        masks[e] = (s, climbing if g.t(e) == u else s ^ climbing)
+        ends[u] ^= s
+        heads[u] ^= heads[w]
+    return masks
+
+
+def tie_bits(rows, start, width):
+    """(tied, x): the bits tied to bit `start` and a solution x on them with
+    x_start = 0, each row (mask, parity) tying its bits i, j by
+    x_i ^ parity_i = x_j ^ parity_j (a contradiction is not detected here).
+    Classes merge smaller into larger, so a bit moves at most log2(width)
+    times, and a row that merges nothing costs a few mask operations."""
+    owner = list(range(width))  # bit -> the key of its class
+    members = [[i] for i in range(width)]  # key -> the bits of its class
+    span = [1 << i for i in range(width)]  # key -> the same as a mask
+    value = [0] * width  # key -> x on its class, up to complement
+    for s, d in rows:
+        i = (s & -s).bit_length() - 1
+        while s & ~span[owner[i]]:
+            a = owner[i]
+            rest = s & ~span[a]
+            j = (rest & -rest).bit_length() - 1
+            b = owner[j]
+            if (value[a] ^ d) >> i & 1 != (value[b] ^ d) >> j & 1:
+                value[b] ^= span[b]
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            span[a] |= span[b]
+            value[a] |= value[b]
+            members[a] += members[b]
+            for k in members[b]:
+                owner[k] = a
+    key = owner[start]
+    return span[key], value[key] ^ (span[key] if value[key] >> start & 1 else 0)
 
 
 def rooted_tree(g, edges, root):
-    """(up, depth) of the tree that `edges` form in g, from root, as
-    `cycle_basis` reads them off its `bfs_tree`: up maps each vertex reached
-    but root to (edge to its parent, parent)."""
+    """The tree that `edges` form in g, from root, as (u, e, w) steps in
+    visiting order like `bfs_tree`: |V| - 1 steps iff the edges connect g."""
     near = {v: [] for v in g.vertex_ids}  # vertex -> (edge, other end)
     for e in edges:
         a, b = g.ends(e)
         near[a].append((e, b))
         near[b].append((e, a))
-    up, depth, order = {}, {root: 0}, [root]
-    for u in order:
+    steps, seen = [(None, None, root)], {root}
+    for _, _, u in steps:
         for e, w in near[u]:
-            if w not in depth:
-                up[w], depth[w] = (e, u), depth[u] + 1
-                order.append(w)
-    return up, depth
-
-
-def tree_steps(g, up, depth, src, dst):
-    """(edge, sign, vertex reached) along src -> dst in the tree of up, depth."""
-    rising, falling = [], []
-    a, b = src, dst
-    while a != b:
-        if depth[a] >= depth[b]:
-            e, p = up[a]
-            rising.append((e, 1 if g.t(e) == p else -1, p))
-            a = p
-        else:
-            e, p = up[b]
-            falling.append((e, 1 if g.t(e) == b else -1, b))
-            b = p
-    return rising + falling[::-1]
+            if w not in seen:
+                seen.add(w)
+                steps.append((u, e, w))
+    return steps[1:]
 
 
 def fundamental_cycles(g):
-    """genus(g) independent simple cycles from the breadth-first tree at t(base)."""
-    return list(cycle_basis(g, None).cycles)
+    """genus(g) independent simple cycles, built on demand from
+    `cycle_basis`: one per non-tree edge f in edge-id order, crossing f
+    tail-to-head and returning from t(f) to o(f) along the edges that share
+    its bit of signature (two at each vertex of the cycle)."""
+    basis = cycle_basis(g, None)
+    signature = dict(zip(g.edge_ids, basis.signatures))
+    tree_edges = {e for _, e, _ in basis.tree}
+    cycles = []
+    for f in (f for f in g.edge_ids if f not in tree_edges):
+        (o, v), bit = g.ends(f), signature[f]
+        steps = [(f, 1, v)]
+        while v != o:
+            e = next(e for e in g.incident(v) if signature[e] & bit and e != steps[-1][0])
+            v = g.other_end(e, v)
+            steps.append((e, 1 if g.t(e) == v else -1, v))
+        cycles.append(EdgePath.walk(o, steps))
+    return cycles
 
 
 def bfs_tree(g, root):

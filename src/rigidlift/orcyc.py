@@ -4,7 +4,7 @@ preservation, non-rigidity witnesses and lifting to graph isomorphisms."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -38,11 +38,12 @@ from .multigraph import (
     Multigraph,
     biconnectivity,
     cycle_basis,
+    cycle_masks,
     id_key,
     rooted_tree,
     series_classes,
     series_table,
-    tree_steps,
+    tie_bits,
 )
 from .orientation import (
     EdgeState,
@@ -65,17 +66,15 @@ def _require_bijection(g, h, edge_map, require_base):
 def validate_cyclic_bijection(g, h, edge_map, require_base=True):
     """True iff edge_map carries the cycle space of g onto that of h: the
     genera agree and the image of each fundamental cycle of g meets every
-    vertex of h in an even number of edge ends."""
+    vertex of h in an even number of edge ends (XOR of the signatures)."""
     _require_bijection(g, h, edge_map, require_base)
     if g.genus != h.genus:
         return False
-    for cyc in cycle_basis(g, None).cycles:
-        odd = set()
-        for e in cyc.edges:
-            odd.symmetric_difference_update(h.ends(edge_map[e]))
-        if odd:
-            return False
-    return True
+    odd = dict.fromkeys(h.vertex_ids, 0)
+    for e, signature in zip(g.edge_ids, cycle_basis(g, None).signatures):
+        for v in h.ends(edge_map[e]):
+            odd[v] ^= signature
+    return not any(odd.values())
 
 
 @dataclass(frozen=True)
@@ -226,62 +225,58 @@ def _freeze_map(d, keys):
 def compute_signs(g, h, edge_map, seed=None):
     """The unique sign function with sgn(base) = +1.
 
-    A cyclic bijection carries bases to bases (Whitney 1933): phi(T), T the
-    source's tree (`cycle_basis`), spans h, and the image of the fundamental
-    cycle C_f is that of phi(f) in phi(T); under equal genera that walk fails
-    iff some image is not a simple cycle.  The two, crossing f and phi(f)
-    forwards, give sgn(e) = eps_C src(e) img(phi e) on C_f, eps_C = +-1, spread
-    from the base across cycles that share an edge; the signs reach every edge
-    iff the cycle matroid of g is connected: for 3 or more vertices, iff g is
-    2-connected (Whitney).  A base on no cycle raises NoCommonCycle.  `seed`
-    roots T at a vertex drawn from it; the answer does not depend on it."""
+    phi is cyclic iff phi(T), T the source's tree (`cycle_basis`), spans h
+    and each edge has its image's signature, the bit of C_f (the cycle of f
+    in T) standing for that of phi(f) in phi(T) (Whitney 1933); else
+    InvalidCyclicBijection.  C_f and its image cross f and phi(f) forwards,
+    so sgn(e) = eps_f src(e) img(phi e) on C_f, eps_f = +-1, and
+    src(e) img(phi e) = -1 iff the bit of C_f lies in D(e), the XOR of the
+    `forward` masks of e and phi(e).  `tie_bits` spreads eps from the base
+    through each edge's bits; it reaches every cycle iff the cycle matroid
+    of g is connected: for 3 or more vertices, iff g is 2-connected.  A
+    connected regular matroid has one signing up to scaling (Brylawski-Lucas
+    1976), so cycles cannot disagree on a sign; that check stays as a guard.
+    A base on no cycle raises NoCommonCycle.  `seed` roots T at a vertex
+    drawn from it; the answer does not depend on it."""
     if g.genus != h.genus:
         raise InvalidCyclicBijection("source and target genera differ")
     basis = cycle_basis(g, seed)
-    up, depth = rooted_tree(h, [edge_map[e] for _, e, _ in basis.tree], h.base_head)
-    if len(depth) != len(h.vertex_ids):
+    tree = rooted_tree(h, [edge_map[e] for _, e, _ in basis.tree], h.base_head)
+    if len(tree) != len(h.vertex_ids) - 1:
         raise InvalidCyclicBijection("the image of a spanning tree is not a spanning tree")
-    ratios, cycles_of = [], {}
-    for cyc in basis.cycles:
-        r = edge_map[cyc.edges[0]]
-        img = {f: s for f, s, _ in tree_steps(h, up, depth, h.t(r), h.o(r))}
-        img[r] = 1
-        ratio = {e: s * img.get(edge_map[e], 0) for e, s in zip(cyc.edges, cyc.signs)}
-        if len(img) != len(ratio) or 0 in ratio.values():
-            raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
-        for e in cyc.edges:
-            cycles_of.setdefault(e, []).append(len(ratios))
-        ratios.append(ratio)
+    in_tree = {e for _, e, _ in basis.tree}
+    bits = {edge_map[e]: b for e, b in zip(g.edge_ids, basis.signatures) if e not in in_tree}
+    image = cycle_masks(h, tree, bits)
+    rows = {e: (s, f ^ image[edge_map[e]][1]) for e, s, f in zip(g.edge_ids, basis.signatures, basis.forward)}
+    if any(image[edge_map[e]][0] != s for e, (s, _) in rows.items()):
+        raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
     base = g.base_edge
-    if base not in cycles_of:
+    signature, d = rows[base]
+    if not signature:
         raise NoCommonCycle(f"the base {base!r} lies on no cycle")
-    signs = {base: 1}
-    queue = deque((i, base) for i in cycles_of[base])
-    reached = {i for i, _ in queue}
-    while queue:
-        i, known = queue.popleft()
-        eps = signs[known] * ratios[i][known]
-        for e, ratio in ratios[i].items():
-            if signs.setdefault(e, eps * ratio) != eps * ratio:
-                raise InvalidCyclicBijection(f"cycles disagree on the sign of {e!r}")
-            for j in cycles_of[e]:
-                if j not in reached:
-                    reached.add(j)
-                    queue.append((j, e))
-    for u in g.edge_ids:
-        if u not in signs:
-            raise NoCommonCycle(f"no simple cycle through {base!r} and {u!r}")
+    start = (signature & -signature).bit_length() - 1
+    reached, eps = tie_bits(rows.values(), start, g.genus)
+    if d >> start & 1:  # sgn(base) = +1: eps = D(base) on the base's cycles
+        eps ^= reached
+    signs = {}
+    for e, (signature, d) in rows.items():  # in edge-id order
+        if not signature & reached:
+            raise NoCommonCycle(f"no simple cycle through {base!r} and {e!r}")
+        x = (d ^ eps) & signature
+        if x and x != signature:
+            raise InvalidCyclicBijection(f"cycles disagree on the sign of {e!r}")
+        signs[e] = -1 if x else 1
     return signs
 
 
 def make_morphism(g, h, edge_map):
     """The morphism of a base-preserving cyclic bijection, with its signs.
-    `compute_signs` compares the genera and reads each fundamental cycle's
-    image off the image tree, so it raises InvalidCyclicBijection wherever
+    `compute_signs` compares the genera and the signatures of each edge and
+    its image, so it raises InvalidCyclicBijection wherever
     `validate_cyclic_bijection` fails; that test is not repeated.
-    A walk that succeeds makes phi an isomorphism of cycle matroids that it
-    proves connected, so both graphs are 2-connected, and only a failed walk
-    asks `biconnectivity` which graph is not."""
+    Signs that reach every edge make phi an isomorphism of cycle matroids
+    that they prove connected, so both graphs are 2-connected, and only a
+    failure asks `biconnectivity` which graph is not."""
     _require_bijection(g, h, edge_map, True)
     try:
         signs = compute_signs(g, h, edge_map)

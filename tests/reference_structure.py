@@ -2,12 +2,15 @@
 2-connectivity by removing each vertex in turn, edge connectivity by
 max-flows that rescan a capacity dict, series classes by testing every
 pair of edges for a cut, fundamental cycles by a breadth-first search in
-the spanning tree, signs from one cycle through the base per edge with
-its image traversed as a simple cycle, the lift to a graph isomorphism
+the spanning tree, the cycle basis and the signs as a walk of every
+fundamental cycle in the source's tree and in its image (`walk_basis`,
+`walk_signs`), signs from one cycle through the base per edge with its
+image traversed as a simple cycle, the lift to a graph isomorphism
 that rebuilds phi_* and the vertex-class table on every call and grows
 the vertex map edge by edge, and Θ preservation as a comparison of the
 two enumerated Θ sets."""
 
+import random
 from collections import deque
 from itertools import combinations
 
@@ -16,6 +19,7 @@ from rigidlift.errors import (
     InternalError,
     InvalidCyclicBijection,
     MorphismNotRigid,
+    NoCommonCycle,
     NotTwoEdgeConnected,
 )
 from rigidlift.multigraph import EdgePath, bfs_tree, cycle_through_edges, id_key
@@ -152,6 +156,125 @@ def fundamental_cycles(g):
             EdgePath((e,) + back.edges, (1,) + back.signs, (g.o(e),) + back.vertices)
         )
     return cycles
+
+
+def _walk(g, up, depth, src, dst):
+    """(edge, sign, vertex reached) along src -> dst in the tree of up, depth."""
+    rising, falling = [], []
+    a, b = src, dst
+    while a != b:
+        if depth[a] >= depth[b]:
+            e, p = up[a]
+            rising.append((e, 1 if g.t(e) == p else -1, p))
+            a = p
+        else:
+            e, p = up[b]
+            falling.append((e, 1 if g.t(e) == b else -1, b))
+            b = p
+    return rising + falling[::-1]
+
+
+def _rooted(g, edges, root):
+    """(up, depth) of the tree that `edges` form in g, from root: up maps
+    each vertex reached but root to (edge to its parent, parent)."""
+    near = {v: [] for v in g.vertex_ids}
+    for e in edges:
+        a, b = g.ends(e)
+        near[a].append((e, b))
+        near[b].append((e, a))
+    up, depth, order = {}, {root: 0}, [root]
+    for u in order:
+        for e, w in near[u]:
+            if w not in depth:
+                up[w], depth[w] = (e, u), depth[u] + 1
+                order.append(w)
+    return up, depth
+
+
+def walk_basis(g, seed=None):
+    """(cycles, signatures, forward, tree) of `multigraph.cycle_basis` by
+    walking each fundamental cycle: one EdgePath per non-tree edge e in
+    edge-id order, crossing e tail-to-head and returning from t(e) to o(e)
+    through `bfs_tree` from t(base) (from a vertex drawn from `seed` when
+    given); per edge, the bitmask of the cycles through it and of those
+    that cross it tail-to-head."""
+    root = g.base_head if seed is None else random.Random(seed).choice(g.vertex_ids)
+    tree = tuple(bfs_tree(g, root))
+    up, depth = _rooted(g, [e for _, e, _ in tree], root)
+    tree_edges = {e for _, e, _ in tree}
+    cycles = []
+    bits = dict.fromkeys(g.edge_ids, 0)
+    forward = dict.fromkeys(g.edge_ids, 0)
+    for e in g.edge_ids:
+        if e in tree_edges:
+            continue
+        o, t = g.ends(e)
+        steps = [(e, 1, t)] + _walk(g, up, depth, t, o)
+        for f, sign, _ in steps:
+            bits[f] |= 1 << len(cycles)
+            if sign == 1:
+                forward[f] |= 1 << len(cycles)
+        cycles.append(EdgePath.walk(o, steps))
+    return cycles, tuple(bits.values()), tuple(forward.values()), tree
+
+
+def walk_parity(g, h, edge_map):
+    """Whether the image of each walked fundamental cycle of g meets every
+    vertex of h in an even number of edge ends (genera equal)."""
+    if g.genus != h.genus:
+        return False
+    for cyc in walk_basis(g)[0]:
+        odd = set()
+        for e in cyc.edges:
+            odd.symmetric_difference_update(h.ends(edge_map[e]))
+        if odd:
+            return False
+    return True
+
+
+def walk_signs(g, h, edge_map, seed=None):
+    """The sign function as `orcyc.compute_signs` first read it: the image
+    of each fundamental cycle walked in the image of the source's tree,
+    one sign ratio per edge of each cycle, spread from the base across
+    cycles that share an edge, with every cycle's ratios checked against
+    the signs already known."""
+    if g.genus != h.genus:
+        raise InvalidCyclicBijection("source and target genera differ")
+    cycles, _, _, tree = walk_basis(g, seed)
+    up, depth = _rooted(h, [edge_map[e] for _, e, _ in tree], h.base_head)
+    if len(depth) != len(h.vertex_ids):
+        raise InvalidCyclicBijection("the image of a spanning tree is not a spanning tree")
+    ratios, cycles_of = [], {}
+    for cyc in cycles:
+        r = edge_map[cyc.edges[0]]
+        img = {f: s for f, s, _ in _walk(h, up, depth, h.t(r), h.o(r))}
+        img[r] = 1
+        ratio = {e: s * img.get(edge_map[e], 0) for e, s in zip(cyc.edges, cyc.signs)}
+        if len(img) != len(ratio) or 0 in ratio.values():
+            raise InvalidCyclicBijection("image of a simple cycle is not a simple cycle")
+        for e in cyc.edges:
+            cycles_of.setdefault(e, []).append(len(ratios))
+        ratios.append(ratio)
+    base = g.base_edge
+    if base not in cycles_of:
+        raise NoCommonCycle(f"the base {base!r} lies on no cycle")
+    signs = {base: 1}
+    queue = deque((i, base) for i in cycles_of[base])
+    reached = {i for i, _ in queue}
+    while queue:
+        i, known = queue.popleft()
+        eps = signs[known] * ratios[i][known]
+        for e, ratio in ratios[i].items():
+            if signs.setdefault(e, eps * ratio) != eps * ratio:
+                raise InvalidCyclicBijection(f"cycles disagree on the sign of {e!r}")
+            for j in cycles_of[e]:
+                if j not in reached:
+                    reached.add(j)
+                    queue.append((j, e))
+    for u in g.edge_ids:
+        if u not in signs:
+            raise NoCommonCycle(f"no simple cycle through {base!r} and {u!r}")
+    return signs
 
 
 def _traverse_edge_subset_cycle(h, edge_set):

@@ -1,9 +1,11 @@
 """Source hygiene of the library modules, read with `ast`: every imported
 name is used, in the library and in scripts/, every module-level
-private function is referenced somewhere in the package, and every
-module-level search budget is set by some test."""
+private function is referenced somewhere in the package, every
+module-level search budget is set by some test, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,26 @@ def test_every_budget_is_monkeypatched_by_a_test():
     }
     assert budgets >= {"MAX_ARCHES", "MAX_CANDIDATES", "MAX_PATH_STEPS"}
     assert sorted(budgets - patched) == []
+
+
+def test_every_traced_name_resolves():
+    """Each name in `LAYERS` of perfbench/tracer.py (read, not imported)
+    resolves to a function of its rigidlift module, "Class.method" through
+    the class, so a rename cannot leave the tracer wrapping nothing."""
+    tracer = _tree(ROOT / "perfbench" / "tracer.py")
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    assert len(layers) >= 7
+    missing = []
+    for module, names in layers.items():
+        obj = importlib.import_module(f"rigidlift.{module}")
+        for name in names:
+            target = obj
+            for part in name.split("."):
+                target = getattr(target, part, None)
+            if not callable(target):
+                missing.append(f"{module}.{name}")
+    assert missing == []

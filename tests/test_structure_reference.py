@@ -21,6 +21,7 @@ from helpers import (
     random_multigraph,
     sample_morphisms,
     series_transposition_morphisms,
+    two_sum_whitney_flip,
     whitney_morphisms,
 )
 
@@ -39,6 +40,7 @@ from rigidlift.errors import (
     ValidationError,
 )
 from rigidlift.multigraph import (
+    EdgePath,
     biconnectivity,
     build_graph,
     connectivity_profile,
@@ -135,11 +137,13 @@ def _signature_partition(g, seed):
 
 
 def assert_seeded_bases_partition_like_the_default(g):
-    """Whichever vertex a seed roots the tree at, the basis has genus closed
-    simple cycles and the same series classes and bridges."""
+    """Whichever vertex a seed roots the tree at, the basis has the masks of
+    the walked basis, whose genus cycles are closed and simple, and the
+    same series classes and bridges."""
     expected = _signature_partition(g, None)
-    for seed in range(10):
-        cycles = cycle_basis(g, seed).cycles
+    for seed in (None, *range(10)):
+        cycles, signatures, forward, tree = ref.walk_basis(g, seed)
+        assert cycle_basis(g, seed) == (tree, signatures, forward)
         assert len(cycles) == g.genus
         for cyc in cycles:
             assert cyc.is_cycle and len(set(cyc.vertices)) == len(cyc.edges)
@@ -180,7 +184,7 @@ def assert_shortest_path_tree(g):
         reached.add(w)
     assert reached == g.vertices
     tree_edges = {e for _, e, _ in basis.tree}
-    for cyc in basis.cycles:
+    for cyc in fundamental_cycles(g):
         e = cyc.edges[0]
         assert e not in tree_edges and cyc.signs[0] == 1
         assert len(cyc.edges) <= dist[g.o(e)] + dist[g.t(e)] + 1
@@ -333,7 +337,7 @@ def _signed_images_close_up(g, h, edge_map, signs):
 
 
 def test_signs_match_reference_on_large_relabellings_and_flips():
-    """The sign walk on the image of the spanning tree, at the default root
+    """The signs from the image of the spanning tree, at the default root
     and at seeds 0-4, on a relabelled copy and three Whitney flips of
     cycle_plus_chords(n, n/2).  At 32 vertices the answer is the
     reference's, one cycle through the base per edge; at 64 that cycle
@@ -370,7 +374,11 @@ def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
     structure = sys.modules["rigidlift.multigraph"]
     monkeypatch.setattr(structure, "cycle_through_edges", forbidden)
     monkeypatch.setattr(structure, "_max_flow", forbidden)
-    # A valid morphism is 2-connected by its sign walk alone.
+    # The signs, the series table and the vertex images read the cycle
+    # masks: no fundamental cycle is built, in the source or the target.
+    monkeypatch.setattr(structure, "fundamental_cycles", forbidden)
+    monkeypatch.setattr(EdgePath, "__init__", forbidden)
+    # A valid morphism is 2-connected by its signs alone.
     monkeypatch.setattr(sys.modules["rigidlift.orcyc"], "biconnectivity", forbidden)
     # E_phi is computed from coefficient vectors, with no orientation object.
     monkeypatch.setattr(PartialOrientation, "__init__", forbidden)
@@ -379,8 +387,8 @@ def test_morphism_path_runs_no_flow_and_no_cycle_search(monkeypatch):
     assert is_rigid(m)
     psi, vertex_map = lift_to_graph_isomorphism(m)
     assert len(psi) == len(h.edge_ids) and len(vertex_map) == len(g.vertices)
-    # One fundamental-cycle pass, on g: the signs check the cycle images, and
-    # the series classes of h are the images of those of g.
+    # One cycle-mask pass, on g: the signs compare the masks of h's edges
+    # with it, and the series classes of h are the images of those of g.
     assert cycle_basis.cache_info().misses == 1
 
 
@@ -395,6 +403,47 @@ def _based_morphisms():
             out.extend(whitney_morphisms(gb, limit=3))
             out.extend(series_transposition_morphisms(gb, limit=2))
     return tuple(out)
+
+
+def _signs_or_error(fn, g, h, emap, seed=None):
+    try:
+        return fn(g, h, emap, seed)
+    except RigidliftError as exc:
+        return type(exc)
+
+
+def test_signs_match_the_walk_at_scale():
+    """The signs from the cycle masks against the walk of every fundamental
+    cycle (`reference_structure.walk_signs`): equal signs or the same error
+    on every based catalogue morphism, at the default root and, for every
+    tenth, at seeds 0-9; on 3,000 catalogue bijections, where the signature
+    test also agrees with the parity of each walked cycle's image; on
+    Whitney flips of chorded cycles at 32-128 vertices (the arch search
+    takes 1.5 s at 128) and of 2-sums at 32-256; and on a relabelled
+    1,024-vertex chorded cycle."""
+    for k, m in enumerate(_based_morphisms()):
+        g, h, emap = m.source, m.target, m.edge_dict
+        assert compute_signs(g, h, emap) == ref.walk_signs(g, h, emap) == m.sign_dict
+        for seed in range(10) if k % 10 == 0 else ():
+            assert compute_signs(g, h, emap, seed) == ref.walk_signs(g, h, emap, seed) == m.sign_dict
+    outcomes = Counter()
+    for g, h, emap in _edge_maps(random.Random(11), 3000):
+        expected = _signs_or_error(ref.walk_signs, g, h, emap)
+        assert _signs_or_error(compute_signs, g, h, emap) == expected
+        assert validate_cyclic_bijection(g, h, emap) == ref.walk_parity(g, h, emap)
+        outcomes[expected if isinstance(expected, type) else "signs"] += 1
+    assert set(outcomes) == {"signs", InvalidCyclicBijection} and min(outcomes.values()) > 300
+    large = [two_sum_whitney_flip(n, 0) for n in (32, 64, 128, 256)]
+    for n in (32, 64, 128):
+        large += whitney_morphisms(cycle_plus_chords(n, n // 2, n), limit=2)
+    for m in large:
+        for seed in (None, 0, 1):
+            signs = compute_signs(m.source, m.target, m.edge_dict, seed)
+            assert signs == ref.walk_signs(m.source, m.target, m.edge_dict, seed) == m.sign_dict
+    assert len(large) == 10
+    g = cycle_plus_chords(1024, 512, 1)
+    h, emap = relabelled(g, random.Random(1024))
+    assert compute_signs(g, h, emap) == ref.walk_signs(g, h, emap)
 
 
 def _outcome(fn, m):
@@ -685,7 +734,7 @@ def _edge_maps(rng, count):
 
 
 def test_make_morphism_rejects_exactly_the_maps_that_break_cycles():
-    """make_morphism leaves the parity test to the sign walk; any error
+    """make_morphism leaves the parity test to compute_signs; any error
     other than InvalidCyclicBijection propagates and fails the test."""
     outcomes = Counter()
     for g, h, emap in _edge_maps(random.Random(11), 3000):
