@@ -40,22 +40,6 @@ from .graphio import (
     parse_orientation,
 )
 from .multigraph import connectivity_profile, id_key, series_classes, spanning_tree_count
-from .orientation import (
-    AcyclicWitness,
-    PartialOrientation,
-    chern_class,
-    effectiveness_certificate,
-    lift_divisor_to_orientation,
-)
-from .orcyc import (
-    MatroidLift,
-    is_rigid,
-    lift_matroid_isomorphism,
-    lift_to_graph_isomorphism,
-    make_morphism,
-    nonrigidity_witness,
-    rigidity_divisor,
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -91,6 +75,8 @@ def cmd_info(args, max_classes):
 
 
 def cmd_rigidity(args, max_classes):
+    from .orcyc import lift_to_graph_isomorphism, make_morphism, nonrigidity_witness, rigidity_divisor
+
     g, h, edge_map = load_morphism(args.morphism)
     try:
         m = make_morphism(g, h, edge_map)
@@ -123,6 +109,8 @@ def cmd_rigidity(args, max_classes):
 
 
 def cmd_lift_matroid(args, max_classes):
+    from .orcyc import MatroidLift, lift_matroid_isomorphism
+
     g = load_graph(args.graph_g)
     h = load_graph(args.graph_h)
     edge_map = load_edge_map(g, h, args.map_file)
@@ -173,6 +161,14 @@ def cmd_divisor(args, max_classes):
 
 
 def cmd_orient(args, max_classes):
+    from .orientation import (
+        AcyclicWitness,
+        PartialOrientation,
+        chern_class,
+        effectiveness_certificate,
+        lift_divisor_to_orientation,
+    )
+
     g = load_graph(args.graph)
     sub = args.subcommand
     if sub == "chern":
@@ -212,8 +208,16 @@ def cmd_orient(args, max_classes):
 def cmd_selftest(args, max_classes):
     """Reproduce the shipped fixture analyses and verify every claim."""
     from .divisor import Divisor, enumerate_picard
-    from .orientation import base_orientation
-    from .orcyc import pushforward_class, theta_preserved
+    from .orientation import base_orientation, chern_class
+    from .orcyc import (
+        is_rigid,
+        lift_to_graph_isomorphism,
+        make_morphism,
+        nonrigidity_witness,
+        pushforward_class,
+        rigidity_divisor,
+        theta_preserved,
+    )
 
     checks = {}
 

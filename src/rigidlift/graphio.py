@@ -9,7 +9,6 @@ import os
 from .errors import ParseError, RigidliftError, ValidationError
 from .divisor import Divisor
 from .multigraph import build_graph
-from .orientation import EdgeState, PartialOrientation
 
 
 def parse_graph(text, name="<string>"):
@@ -96,6 +95,8 @@ def format_divisor(d):
 
 def parse_orientation(g, text):
     """Parse `orient <edge>:<F|B|U|X> ...` (leading `orient` optional)."""
+    from .orientation import EdgeState, PartialOrientation
+
     tokens = text.split()
     if tokens and tokens[0] == "orient":
         tokens = tokens[1:]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -152,8 +151,7 @@ class Multigraph:
         )
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(NamedTuple):
     """A walk through the graph: edges in order with traversal signs.
 
     ``signs[i]`` is +1 when ``edges[i]`` is crossed tail-to-head and -1
@@ -188,8 +186,7 @@ class EdgePath:
         return out
 
 
-@dataclass(frozen=True)
-class Arch:
+class Arch(NamedTuple):
     """An edge subset meeting its complement in exactly two tip vertices."""
 
     edges: frozenset
@@ -482,9 +479,12 @@ def bfs_tree(g, root):
     visiting order: e joins the reached vertex u to the new vertex w.  Each
     vertex's edges are taken in edge-id order."""
     steps, seen, queue = [], {root}, [root]
+    incidence, ends = g._incidence, g._edges
     for u in queue:
-        for e in g.incident(u):
-            w = g.other_end(e, u)
+        for e in incidence[u]:
+            o, w = ends[e]
+            if w == u:
+                w = o
             if w not in seen:
                 seen.add(w)
                 steps.append((u, e, w))

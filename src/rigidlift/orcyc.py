@@ -5,9 +5,9 @@ preservation, non-rigidity witnesses and lifting to graph isomorphisms."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     BaseNotPreserved,
@@ -77,15 +77,27 @@ def validate_cyclic_bijection(g, h, edge_map, require_base=True):
     return not any(odd.values())
 
 
-@dataclass(frozen=True)
 class OrCycMorphism:
     """A base-preserving cyclic bijection with its computed sign function.
-    Its action on Pic is computed at most once and cached."""
+    Its action on Pic is computed at most once and cached.  Two morphisms
+    are equal when their four fields are."""
 
-    source: object
-    target: object
-    edge_map: tuple  # sorted ((source edge, target edge), ...)
-    signs: tuple  # sorted ((source edge, +1 | -1), ...)
+    def __init__(self, source, target, edge_map, signs):
+        self.source = source
+        self.target = target
+        self.edge_map = edge_map  # sorted ((source edge, target edge), ...)
+        self.signs = signs  # sorted ((source edge, +1 | -1), ...)
+
+    def _key(self):
+        return (self.source, self.target, self.edge_map, self.signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def edge_dict(self):
@@ -564,8 +576,7 @@ def _verify_isomorphism(g, h, edge_map, vertex_map):
             raise InternalError(f"adjacency not preserved at edge {e!r}")
 
 
-@dataclass(frozen=True)
-class MatroidLift:
+class MatroidLift(NamedTuple):
     edge_map: tuple
     vertex_map: tuple
     base_edge: object
@@ -573,8 +584,7 @@ class MatroidLift:
     tried: tuple
 
 
-@dataclass(frozen=True)
-class NotLiftable:
+class NotLiftable(NamedTuple):
     base_edge: object
     tried: tuple
 

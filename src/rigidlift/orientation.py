@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import (
     BiorientedPresent,
@@ -235,8 +235,7 @@ class MoveKind(enum.Enum):
     EDGE_SLIDE = "EdgeSlide"
 
 
-@dataclass(frozen=True)
-class OrientationMove:
+class OrientationMove(NamedTuple):
     kind: MoveKind
     edges: frozenset = frozenset()
     slide: tuple = ()  # (oriented edge l, unoriented edge r, pivot vertex v)
@@ -377,8 +376,7 @@ def torsor_act(g, d, u):
     return PartialOrientation._of_heads(g, head)
 
 
-@dataclass(frozen=True)
-class NotPartiallyOrientable:
+class NotPartiallyOrientable(NamedTuple):
     """Certificate that O(G, X) contains no orientation with the requested
     class.  When ``class_orientable`` is False the effectiveness test
     |d + sum(v)| = 0 failed, so the class is not partially orientable at
@@ -428,14 +426,12 @@ def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
 # -- effectiveness certificates ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SourcelessWitness:
+class SourcelessWitness(NamedTuple):
     orientation: PartialOrientation
     effective_divisor: Divisor
 
 
-@dataclass(frozen=True)
-class AcyclicWitness:
+class AcyclicWitness(NamedTuple):
     orientation: PartialOrientation
     dominated_divisor: Divisor
 

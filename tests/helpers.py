@@ -1,9 +1,13 @@
 """Shared oracles and generators for the test suite."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 from rigidlift.multigraph import (
     Arch,
@@ -291,3 +295,14 @@ def random_multigraph(rng, max_vertices=7, max_extra_edges=6):
         a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
         edges.append((f"e{len(edges) + 1}", verts[a], verts[b]))
     return build_graph(edges, "e1")
+
+
+def fresh_interpreter(code, *args):
+    """The stripped stdout of `python -c code args` in a new interpreter
+    that imports rigidlift from this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()

@@ -31,6 +31,20 @@ from rigidlift.orcyc import (
 from rigidlift.orientation import base_orientation, chern_class
 
 
+def bfs_tree_loop(g, root):
+    """The breadth-first tree loop as first written: each vertex's edges
+    through the public `incident` and `other_end`."""
+    steps, seen, queue = [], {root}, [root]
+    for u in queue:
+        for e in g.incident(u):
+            w = g.other_end(e, u)
+            if w not in seen:
+                seen.add(w)
+                steps.append((u, e, w))
+                queue.append(w)
+    return steps
+
+
 def is_connected(g, removed_edges=frozenset(), removed_vertices=frozenset()):
     remaining = [v for v in g.vertex_ids if v not in removed_vertices]
     if not remaining:

@@ -1,8 +1,8 @@
 """Source hygiene of the library modules, read with `ast`: every imported
 name is used, in the library and in scripts/, every module-level
 private function is referenced somewhere in the package, every
-module-level search budget is set by some test, and every function the
-benchmark's tracer wraps exists."""
+module-level search budget is set by some test, every function the
+benchmark's tracer wraps exists, and no module imports `dataclasses`."""
 
 import ast
 import importlib
@@ -46,6 +46,20 @@ def test_every_imported_name_is_used(path):
         elif isinstance(node, ast.Import):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     assert sorted(imported - _names_read(tree)) == []
+
+
+def test_no_module_imports_dataclasses():
+    """`dataclasses` imports inspect, ast, dis and tokenize, and each
+    decoration execs generated methods, which a CLI start-up pays for in
+    milliseconds; the records are NamedTuples or plain classes instead."""
+    offenders = [
+        p.name
+        for p in SRC.glob("*.py")
+        for node in ast.walk(_tree(p))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert offenders == []
 
 
 def test_every_private_function_is_referenced():

@@ -2,13 +2,10 @@
 reference model of `rigidlift.homology`: every Jacobian map must equal the
 iota -> pushforward_cochain -> iota-inverse formula it replaced."""
 
-import os
-import subprocess
-import sys
 from functools import lru_cache
 from pathlib import Path
 
-from helpers import enumerate_small_graphs, sample_morphisms
+from helpers import enumerate_small_graphs, fresh_interpreter, sample_morphisms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,13 +135,34 @@ def test_lift_vertex_map_equals_rational_locate(m):
 
 
 def test_production_imports_neither_homology_nor_fractions():
-    src = str(Path(rigidlift.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    """`import rigidlift.cli` loads no module that only some subcommands run
+    (orientation, orcyc), nor the reference model, nor `dataclasses` (which
+    pulls in inspect and ast) or `fractions`."""
     code = (
         "import sys, rigidlift, rigidlift.cli; "
-        "print(sorted(m for m in ('rigidlift.homology', 'fractions') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'fractions', 'rigidlift.homology', "
+        "'rigidlift.orcyc', 'rigidlift.orientation') if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_divisor_theta_run_loads_only_the_divisor_layer():
+    """`rigidlift divisor K theta`, run as `python -m rigidlift.cli` does,
+    loads the package and the four modules every command loads a graph
+    through, and no other rigidlift module."""
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['rigidlift', '--no-timings', 'divisor', sys.argv[1], 'theta']\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    try:\n"
+        "        runpy.run_module('rigidlift.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "assert '\"count\": 9' in out.getvalue(), out.getvalue()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rigidlift')))"
     )
-    assert out.stdout.strip() == "[]"
+    graph = Path(rigidlift.__file__).resolve().parent / "fixtures" / "K.graph"
+    loaded = fresh_interpreter(code, str(graph))
+    assert loaded == str(
+        ["rigidlift", "rigidlift.divisor", "rigidlift.errors", "rigidlift.graphio", "rigidlift.multigraph"]
+    )

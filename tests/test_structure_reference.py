@@ -32,6 +32,7 @@ from rigidlift.errors import (
     EnumerationBoundExceeded,
     InternalError,
     InvalidCyclicBijection,
+    LoopEdge,
     NoCommonCycle,
     NotBijection,
     NotTwoConnected,
@@ -41,6 +42,8 @@ from rigidlift.errors import (
 )
 from rigidlift.multigraph import (
     EdgePath,
+    Multigraph,
+    bfs_tree,
     biconnectivity,
     build_graph,
     connectivity_profile,
@@ -200,6 +203,23 @@ def test_cycle_basis_tree_is_a_shortest_path_tree_on_the_catalogue():
 @given(g=graphs())
 def test_cycle_basis_tree_is_a_shortest_path_tree(g):
     assert_shortest_path_tree(g)
+
+
+def test_bfs_tree_matches_the_incident_loop():
+    """`bfs_tree` reads the incidence lists and the edge ends inline; from
+    every root its steps equal those of the loop through `incident` and
+    `other_end`: on the catalogue, on parallel classes, on random
+    multigraphs, and on loops, which the constructor takes but `build_graph`
+    refuses."""
+    rng = random.Random(7)
+    graphs = list(catalogue()) + [parallel_class(k) for k in (1, 2, 5)]
+    graphs += [random_multigraph(rng) for _ in range(100)]
+    graphs.append(Multigraph("ab", {"e1": ("a", "b"), "e2": ("b", "a"), "e3": ("b", "b"), "e4": ("a", "a")}, "e1"))
+    for g in graphs:
+        for root in g.vertex_ids:
+            assert bfs_tree(g, root) == ref.bfs_tree_loop(g, root)
+    with pytest.raises(LoopEdge):
+        build_graph([("e1", "a", "b"), ("e2", "b", "b")], "e1")
 
 
 def _arch_graphs():
