@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -317,16 +318,8 @@ class DivisorClass:
 
 def abel_jacobi(g, points):
     """Class of sum(points) - n * t(base edge)."""
-    t0 = g.base_head
-    coeffs = {}
-    n = 0
-    for p in points:
-        if p not in g.vertices:
-            raise ValidationError(f"vertex {p!r} not in graph")
-        coeffs[p] = coeffs.get(p, 0) + 1
-        n += 1
-    coeffs[t0] = coeffs.get(t0, 0) - n
-    return DivisorClass(g, Divisor(g, coeffs))
+    d = Divisor(g, Counter(points))
+    return DivisorClass(g, d - vertex_divisor(g, g.base_head, d.degree))
 
 
 def _certify(core, s):

@@ -437,23 +437,6 @@ def tie_bits(rows, start, width):
     return span[key], value[key] ^ (span[key] if value[key] >> start & 1 else 0)
 
 
-def rooted_tree(g, edges, root):
-    """The tree that `edges` form in g, from root, as (u, e, w) steps in
-    visiting order like `bfs_tree`: |V| - 1 steps iff the edges connect g."""
-    near = {v: [] for v in g.vertex_ids}  # vertex -> (edge, other end)
-    for e in edges:
-        a, b = g.ends(e)
-        near[a].append((e, b))
-        near[b].append((e, a))
-    steps, seen = [(None, None, root)], {root}
-    for _, _, u in steps:
-        for e, w in near[u]:
-            if w not in seen:
-                seen.add(w)
-                steps.append((u, e, w))
-    return steps[1:]
-
-
 def fundamental_cycles(g):
     """genus(g) independent simple cycles, built on demand from
     `cycle_basis`: one per non-tree edge f in edge-id order, crossing f
@@ -474,10 +457,11 @@ def fundamental_cycles(g):
     return cycles
 
 
-def bfs_tree(g, root):
-    """The breadth-first search tree of g from root as (u, e, w) steps in
-    visiting order: e joins the reached vertex u to the new vertex w.  Each
-    vertex's edges are taken in edge-id order."""
+def bfs_tree(g, root, edges=None):
+    """The breadth-first search tree from root of g, or of the edges of g in
+    the set `edges` if one is given, as (u, e, w) steps in visiting order: e
+    joins the reached vertex u to the new vertex w, so a parent comes before
+    its children.  Each vertex's edges are taken in edge-id order."""
     steps, seen, queue = [], {root}, [root]
     incidence, ends = g._incidence, g._edges
     for u in queue:
@@ -485,7 +469,7 @@ def bfs_tree(g, root):
             o, w = ends[e]
             if w == u:
                 w = o
-            if w not in seen:
+            if w not in seen and (edges is None or e in edges):
                 seen.add(w)
                 steps.append((u, e, w))
                 queue.append(w)
@@ -494,22 +478,17 @@ def bfs_tree(g, root):
 
 def components(g, removed_vertices=(), removed_edges=()):
     """Vertex -> index of its connected component once the given vertices
-    and edges are removed (removed vertices are left out).  Components are
+    and edges are removed (removed vertices are left out): one `bfs_tree`
+    over the kept edges from each vertex not yet reached.  Components are
     numbered 0, 1, ... in the order of their first vertex in vertex_ids."""
+    kept = set(g.edge_ids).difference(removed_edges, *(g._incidence[v] for v in removed_vertices))
     comp, count = {}, 0
     for v in g.vertex_ids:
         if v in comp or v in removed_vertices:
             continue
         comp[v] = count
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in g.incident(x):
-                y = g.other_end(e, x)
-                if y in comp or y in removed_vertices or e in removed_edges:
-                    continue
-                comp[y] = count
-                stack.append(y)
+        for _, _, w in bfs_tree(g, v, kept):
+            comp[w] = count
         count += 1
     return comp
 

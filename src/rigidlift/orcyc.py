@@ -36,11 +36,11 @@ from .divisor import (
 )
 from .multigraph import (
     Multigraph,
+    bfs_tree,
     biconnectivity,
     cycle_basis,
     cycle_masks,
     id_key,
-    rooted_tree,
     series_classes,
     series_table,
     tie_bits,
@@ -253,7 +253,7 @@ def compute_signs(g, h, edge_map, seed=None):
     if g.genus != h.genus:
         raise InvalidCyclicBijection("source and target genera differ")
     basis = cycle_basis(g, seed)
-    tree = rooted_tree(h, [edge_map[e] for _, e, _ in basis.tree], h.base_head)
+    tree = bfs_tree(h, h.base_head, {edge_map[e] for _, e, _ in basis.tree})
     if len(tree) != len(h.vertex_ids) - 1:
         raise InvalidCyclicBijection("the image of a spanning tree is not a spanning tree")
     in_tree = {e for _, e, _ in basis.tree}

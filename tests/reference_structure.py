@@ -1,6 +1,8 @@
 """The graph-structure layer as first written, kept as a test oracle:
-2-connectivity by removing each vertex in turn, edge connectivity by
-max-flows that rescan a capacity dict, series classes by testing every
+the tree that an edge subset forms and the components left by a removal,
+each by a search of its own (`rooted_tree`, `components`), 2-connectivity
+by removing each vertex in turn, edge connectivity by max-flows that
+rescan a capacity dict, series classes by testing every
 pair of edges for a cut, fundamental cycles by a breadth-first search in
 the spanning tree, the cycle basis and the signs as a walk of every
 fundamental cycle in the source's tree and in its image (`walk_basis`,
@@ -43,6 +45,45 @@ def bfs_tree_loop(g, root):
                 steps.append((u, e, w))
                 queue.append(w)
     return steps
+
+
+def rooted_tree(g, edges, root):
+    """The tree that `edges` form in g, from root, as (u, e, w) steps in
+    visiting order like `bfs_tree`: |V| - 1 steps iff the edges connect g."""
+    near = {v: [] for v in g.vertex_ids}  # vertex -> (edge, other end)
+    for e in edges:
+        a, b = g.ends(e)
+        near[a].append((e, b))
+        near[b].append((e, a))
+    steps, seen = [(None, None, root)], {root}
+    for _, _, u in steps:
+        for e, w in near[u]:
+            if w not in seen:
+                seen.add(w)
+                steps.append((u, e, w))
+    return steps[1:]
+
+
+def components(g, removed_vertices=(), removed_edges=()):
+    """Vertex -> index of its connected component once the given vertices
+    and edges are removed (removed vertices are left out).  Components are
+    numbered 0, 1, ... in the order of their first vertex in vertex_ids."""
+    comp, count = {}, 0
+    for v in g.vertex_ids:
+        if v in comp or v in removed_vertices:
+            continue
+        comp[v] = count
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for e in g.incident(x):
+                y = g.other_end(e, x)
+                if y in comp or y in removed_vertices or e in removed_edges:
+                    continue
+                comp[y] = count
+                stack.append(y)
+        count += 1
+    return comp
 
 
 def is_connected(g, removed_edges=frozenset(), removed_vertices=frozenset()):

@@ -244,6 +244,10 @@ class TestAbelJacobi:
         for pts in (["v1"], ["v1", "v4"], ["v2", "v2", "v3"]):
             assert abel_jacobi(J, pts).degree == 0
 
+    def test_first_point_off_the_graph_is_reported(self, G):
+        with pytest.raises(ValidationError, match=r"^vertex 'x' not in graph$"):
+            abel_jacobi(G, ["v1", "x", "v1", "y"])
+
 
 class TestTheta:
     def test_fixture_sizes(self, G, H, J, K):

@@ -46,6 +46,7 @@ from rigidlift.multigraph import (
     bfs_tree,
     biconnectivity,
     build_graph,
+    components,
     connectivity_profile,
     cycle_basis,
     find_arches,
@@ -205,19 +206,40 @@ def test_cycle_basis_tree_is_a_shortest_path_tree(g):
     assert_shortest_path_tree(g)
 
 
+def assert_tree_of_edges(g, root, edges):
+    """`bfs_tree` over the edge subset `edges` takes the steps of the
+    oracle's `rooted_tree` (as a set: both are the tree that a forest's
+    edges form from root, or the same search when `edges` come in edge-id
+    order), and reaches each step's parent before its child.  Returns
+    whether the tree spans g."""
+    steps = bfs_tree(g, root, set(edges))
+    assert set(steps) == set(ref.rooted_tree(g, edges, root))
+    reached = {root}
+    for u, _, w in steps:
+        assert u in reached
+        reached.add(w)
+    return len(steps) == len(g.vertex_ids) - 1
+
+
 def test_bfs_tree_matches_the_incident_loop():
     """`bfs_tree` reads the incidence lists and the edge ends inline; from
     every root its steps equal those of the loop through `incident` and
     `other_end`: on the catalogue, on parallel classes, on random
     multigraphs, and on loops, which the constructor takes but `build_graph`
-    refuses."""
+    refuses.  Over random edge subsets, some spanning and some not, it
+    takes the steps of the oracle's `rooted_tree`."""
     rng = random.Random(7)
     graphs = list(catalogue()) + [parallel_class(k) for k in (1, 2, 5)]
     graphs += [random_multigraph(rng) for _ in range(100)]
     graphs.append(Multigraph("ab", {"e1": ("a", "b"), "e2": ("b", "a"), "e3": ("b", "b"), "e4": ("a", "a")}, "e1"))
+    spanning = Counter()
     for g in graphs:
         for root in g.vertex_ids:
             assert bfs_tree(g, root) == ref.bfs_tree_loop(g, root)
+            for p in (0.3, 0.6, 0.9):
+                subset = [e for e in g.edge_ids if rng.random() < p]
+                spanning[assert_tree_of_edges(g, root, subset)] += 1
+    assert min(spanning[True], spanning[False]) > 300
     with pytest.raises(LoopEdge):
         build_graph([("e1", "a", "b"), ("e2", "b", "b")], "e1")
 
@@ -232,6 +254,27 @@ def _arch_graphs():
     for k in range(1, 5):
         candidates.append(build_graph([(f"p{i}", "u", "v") for i in range(k)] + paths, "a1"))
     return [g for g in candidates if len(g.edge_ids) <= 12 and biconnectivity(g)[0]]
+
+
+def test_components_match_the_depth_first_search():
+    """`components`, one `bfs_tree` over the kept edges per component,
+    numbers the components as the depth-first search of the oracle does:
+    on every catalogue graph with each vertex pair removed, as `find_arches`
+    removes them, and with random edge sets removed, as the cut check of a
+    move removes its payload."""
+    rng = random.Random(28)
+    split = Counter()
+    for g in catalogue():
+        for pair in combinations(g.vertex_ids, 2):
+            comp = components(g, removed_vertices=set(pair))
+            assert comp == ref.components(g, removed_vertices=set(pair))
+            split["vertices"] += max(comp.values(), default=0) > 0
+        for _ in range(10):
+            removed = {e for e in g.edge_ids if rng.random() < 0.5}
+            comp = components(g, removed_edges=removed)
+            assert comp == ref.components(g, removed_edges=removed)
+            split["edges"] += max(comp.values()) > 0
+    assert min(split["vertices"], split["edges"]) > 100
 
 
 def test_find_arches_matches_brute_force():
@@ -436,7 +479,9 @@ def test_signs_match_the_walk_at_scale():
     """The signs from the cycle masks against the walk of every fundamental
     cycle (`reference_structure.walk_signs`): equal signs or the same error
     on every based catalogue morphism, at the default root and, for every
-    tenth, at seeds 0-9; on 3,000 catalogue bijections, where the signature
+    tenth, at seeds 0-9, where the image of the source's tree, rooted by
+    `bfs_tree` over its edges, spans the target as the oracle's
+    `rooted_tree` does; on 3,000 catalogue bijections, where the signature
     test also agrees with the parity of each walked cycle's image; on
     Whitney flips of chorded cycles at 32-128 vertices (the arch search
     takes 1.5 s at 128) and of 2-sums at 32-256; and on a relabelled
@@ -444,6 +489,7 @@ def test_signs_match_the_walk_at_scale():
     for k, m in enumerate(_based_morphisms()):
         g, h, emap = m.source, m.target, m.edge_dict
         assert compute_signs(g, h, emap) == ref.walk_signs(g, h, emap) == m.sign_dict
+        assert assert_tree_of_edges(h, h.base_head, [emap[e] for _, e, _ in cycle_basis(g, None).tree])
         for seed in range(10) if k % 10 == 0 else ():
             assert compute_signs(g, h, emap, seed) == ref.walk_signs(g, h, emap, seed) == m.sign_dict
     outcomes = Counter()
@@ -584,9 +630,9 @@ def test_lift_walks_the_source_once_however_many_anchors_it_tries(monkeypatch):
         original = getattr(module, "bfs_tree", None)
         if original is not None:
 
-            def counting(graph, root, original=original):
+            def counting(graph, root, *args, original=original):
                 walks.append(graph == source)
-                return original(graph, root)
+                return original(graph, root, *args)
 
             monkeypatch.setattr(module, "bfs_tree", counting)
     cycle_basis.cache_clear()

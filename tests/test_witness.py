@@ -15,9 +15,14 @@ from rigidlift.errors import EnumerationBoundExceeded, QIsEffective
 from rigidlift.orcyc import is_rigid, nonrigidity_witness, pushforward_class
 
 
-def test_witness_matches_reference(jk_morphism):
+def test_witness_matches_reference(monkeypatch, jk_morphism):
+    """On every non-rigid based catalogue morphism and on JK, the library
+    witness equals the reference's, and none reaches the fallback: the
+    library's Θ enumeration fails if called, while the reference keeps its
+    own."""
     non_rigid = [m for m in _based_morphisms() if not is_rigid(m)]
     assert len(non_rigid) == 917
+    _forbid(monkeypatch, sys.modules["rigidlift.orcyc"], "theta_divisor")
     for m in non_rigid + [jk_morphism]:
         assert nonrigidity_witness(m) == ref.nonrigidity_witness(m)
 
