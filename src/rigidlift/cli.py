@@ -57,7 +57,7 @@ def _sorted_map(d):
     return {str(k): v for k, v in sorted(d.items(), key=lambda kv: id_key(kv[0]))}
 
 
-def cmd_info(args, max_classes):
+def cmd_info(args):
     g = load_graph(args.graph)
     two_conn, edge_conn = connectivity_profile(g)
     report = {
@@ -74,7 +74,7 @@ def cmd_info(args, max_classes):
     return report, EXIT_OK
 
 
-def cmd_rigidity(args, max_classes):
+def cmd_rigidity(args):
     from .orcyc import lift_to_graph_isomorphism, make_morphism, nonrigidity_witness, rigidity_divisor
 
     g, h, edge_map = load_morphism(args.morphism)
@@ -97,7 +97,7 @@ def cmd_rigidity(args, max_classes):
             "vertex_map": _sorted_map(vmap),
         }
     else:
-        witness, image = nonrigidity_witness(m, max_classes=max_classes)
+        witness, image = nonrigidity_witness(m)
         report["witness"] = {
             "theta_element": _class_report(witness),
             "image": _class_report(image),
@@ -108,7 +108,7 @@ def cmd_rigidity(args, max_classes):
     return report, code
 
 
-def cmd_lift_matroid(args, max_classes):
+def cmd_lift_matroid(args):
     from .orcyc import MatroidLift, lift_matroid_isomorphism
 
     g = load_graph(args.graph_g)
@@ -136,11 +136,11 @@ def cmd_lift_matroid(args, max_classes):
     return report, EXIT_DOMAIN
 
 
-def cmd_divisor(args, max_classes):
+def cmd_divisor(args):
     g = load_graph(args.graph)
     sub = args.subcommand
     if sub == "theta":
-        theta = theta_divisor(g, max_classes=max_classes)
+        theta = theta_divisor(g, max_classes=args.max_classes)
         classes = sorted(
             (_class_report(c) for c in theta), key=lambda r: r["representative"]
         )
@@ -150,8 +150,6 @@ def cmd_divisor(args, max_classes):
     d = parse_divisor(g, args.divisor)
     if sub == "reduce":
         q = args.q if args.q is not None else g.base_head
-        if q not in g.vertices:
-            raise ValidationError(f"vertex {q!r} not in graph")
         return {"reduced": format_divisor(q_reduce(g, d, q)), "q": q}, EXIT_OK
     if sub == "effective":
         return {"effective_class": is_effective_class(g, d)}, EXIT_OK
@@ -160,7 +158,7 @@ def cmd_divisor(args, max_classes):
     raise ParseError(f"unknown divisor subcommand {sub!r}")
 
 
-def cmd_orient(args, max_classes):
+def cmd_orient(args):
     from .orientation import (
         AcyclicWitness,
         PartialOrientation,
@@ -205,7 +203,7 @@ def cmd_orient(args, max_classes):
     raise ParseError(f"unknown orient subcommand {sub!r}")
 
 
-def cmd_selftest(args, max_classes):
+def cmd_selftest(args):
     """Reproduce the shipped fixture analyses and verify every claim."""
     from .divisor import Divisor, enumerate_picard
     from .orientation import base_orientation, chern_class
@@ -234,7 +232,7 @@ def cmd_selftest(args, max_classes):
     check("G_chern", chern_class(base_orientation(g)) == Divisor(g, {"v3": 1, "v4": 1}))
     check("H_chern", chern_class(base_orientation(h)) == Divisor(h, {"w2": 1, "w5": 1}))
     check("GH_rigid", is_rigid(m) and rigidity_divisor(m).is_zero)
-    check("GH_theta_preserved", theta_preserved(m, max_classes=max_classes))
+    check("GH_theta_preserved", theta_preserved(m, max_classes=args.max_classes))
     psi, vmap = lift_to_graph_isomorphism(m)
     check("GH_lift_series_fixing", all(v in ("r3", "r6", "r7") or k == v for k, v in psi.items()))
 
@@ -250,11 +248,11 @@ def cmd_selftest(args, max_classes):
     )
     check("K_chern", chern_class(base_orientation(k)) == Divisor(k, {"w3": 1, "w4": 1}))
     check("JK_not_rigid", not is_rigid(m2))
-    witness, image = nonrigidity_witness(m2, max_classes=max_classes)
+    witness, image = nonrigidity_witness(m2)
     check(
         "JK_witness_verified",
-        witness in theta_divisor(j, max_classes=max_classes)
-        and image not in theta_divisor(k, max_classes=max_classes)
+        witness in theta_divisor(j, max_classes=args.max_classes)
+        and image not in theta_divisor(k, max_classes=args.max_classes)
         and pushforward_class(m2, witness) == image,
     )
     check(
@@ -265,7 +263,7 @@ def cmd_selftest(args, max_classes):
     for name, graph in (("G", g), ("H", h), ("J", j), ("K", k)):
         check(
             f"{name}_picard_order",
-            len(enumerate_picard(graph, 0, max_classes)) == spanning_tree_count(graph),
+            len(enumerate_picard(graph, 0, args.max_classes)) == spanning_tree_count(graph),
         )
     ok = all(checks.values())
     return {"checks": checks, "ok": ok}, EXIT_OK if ok else EXIT_DOMAIN
@@ -285,8 +283,8 @@ def build_parser():
         "--max-classes",
         type=int,
         default=None,
-        help="bound on enumerated divisor classes "
-        "(default 10^6; env RIGIDLIFT_MAX_CLASSES)",
+        help="bound on the divisor classes that divisor theta and selftest "
+        "enumerate (default 10^6; env RIGIDLIFT_MAX_CLASSES)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -345,7 +343,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report, code = args.func(args, _max_classes(args))
+        args.max_classes = _max_classes(args)
+        report, code = args.func(args)
     except (ParseError, ValidationError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args, start)
         return EXIT_INPUT

@@ -423,24 +423,21 @@ def theta_preserved(m, max_classes=DEFAULT_MAX_CLASSES):
     read off T(1, y) of the cycle matroid, Merino) and τ_G = τ_H (its bases):
     only Θ_G is enumerated, and its bound max_classes on τ_G raises exactly
     when one on τ_H would.  phi_* is a group isomorphism of Pic^0, so
-    phi_*Θ_G = Θ_H iff `_theta_escapes` yields no class of Θ_G."""
+    phi_*Θ_G = Θ_H iff no class of Θ_G escapes; False at the first that does.
+
+    R_v (`reduced_images`, R_t0 = 0) is >= 0 off q, so w_v = -R_v(q) >= 0.
+    A class s - |s| t0 of Θ_G (s superstable) goes to the class of
+    D - (g - 1) q, D = sum s(v) R_v + (g - 1) q, which is >= 0 off q with
+    D(q) = g - 1 - sum s(v) w_v: when that sum is at most g - 1 the image
+    lies in Θ_H, else D, summed from the pairs, is reduced once."""
     _require_genus(m)
-    return next(_theta_escapes(m, theta_divisor(m.source, max_classes=max_classes)), None) is None
-
-
-def _theta_escapes(m, classes):
-    """The classes among `classes` (of Θ_G), in order, that phi_* carries out
-    of Θ_H.  R_v (`reduced_images`, R_t0 = 0) is >= 0 off q, so
-    w_v = -R_v(q) >= 0.  A class s - |s| t0 of Θ_G (s superstable) goes to
-    the class of D - (g - 1) q, D = sum s(v) R_v + (g - 1) q, which is >= 0
-    off q with D(q) = g - 1 - sum s(v) w_v: when that sum is at most g - 1
-    the image lies in Θ_H, else D, summed from the pairs, is reduced once."""
+    theta = theta_divisor(m.source, max_classes=max_classes)
     h = m.target
     q, qi = h.base_head, h.vertex_index[h.base_head]
     reduced = [m.reduced_images[v][0] for v in m.source.vertex_ids]  # R_v in source order
     weight = [-dict(pairs).get(qi, 0) for pairs in reduced]
     slack = m.source.genus - 1
-    for c in classes:
+    for c in theta:
         s = c.representative.vector
         if sum(map(mul, s, weight)) > slack:
             d = [0] * len(h.vertex_ids)
@@ -450,7 +447,8 @@ def _theta_escapes(m, classes):
                     for i, a in pairs:
                         d[i] += k * a
             if q_reduce(h, Divisor._of(h, d), q).vector[qi] < 0:
-                yield c
+                return False
+    return True
 
 
 def s1_image_preserved(m):
@@ -461,13 +459,31 @@ def s1_image_preserved(m):
     return set(m.vertex_image.values()) == set(m.target.vertex_ids)
 
 
-def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
+def nonrigidity_witness(m):
     """(s, phi_*s), s in Θ of the source and phi_*s not in Θ of the target.
-    For the first target vertex v with q = E_phi + v not effective that
-    works, s = phi^-1_*[q + T] - (g - 1) t0 (T from `extend_to_nonspecial`):
-    the defect phi_*[c(U)] - [c(phi_O U)] is E_phi for every full U.  Tests
-    are by `in_theta`; Θ of the source is enumerated, under max_classes, only
-    for the fallback, which takes the first class `_theta_escapes` yields."""
+    For the first target vertex v with q = E_phi + v not effective,
+    s = phi^-1_*[q + T] - (g - 1) t0, T from `extend_to_nonspecial`, and
+    `in_theta` verifies it.  No Θ is enumerated: such a v exists (the lemma),
+    and at it s is a witness (the translation).
+
+    Lemma.  Let H be 2-connected of genus >= 2, and E != 0 of degree 0.
+    Then E + v is not effective for some vertex v.  Else E + v ~ x_v, one
+    chip, for every v.  In a 2-edge-connected graph a single chip is reduced
+    at every q, so two chips at distinct vertices are not equivalent, and
+    v -> x_v is a permutation of V(H), with no fixed point as E != 0.  H
+    is not a cycle, as g >= 2, so some w has deg(w) >= 3; take q with
+    x_q = w.  Then E ~ w - q and E + w ~ 2w - q.  Dhar's burn from q first
+    burns H - w, which is connected and holds no chips, then w, with
+    deg(w) >= 3 burnt edges and 2 chips.  So 2w - q is q-reduced and
+    negative at q, and E + w is not effective (Dhar 1990).
+
+    Translation.  phi_*Θ_G = Θ_H + E_phi.  The defect phi_*[c(U)] -
+    [c(phi_O U)] is E_phi for every full U (criterion 4 at X = ∅), phi_O is a
+    bijection of acyclic orientations, and the classes [c(U)] of acyclic U
+    are exactly the non-effective classes of degree g - 1 (Baker-Norine
+    2007), the complement of Θ + (g - 1) t0.  Here q + T ~ c(U) with U
+    acyclic, so phi_*s = [q + T] - (g - 1) t0' is not in Θ_H, while
+    phi_*s - E_phi = [v + T] - (g - 1) t0' is, as v + T >= 0: s is in Θ_G."""
     if is_rigid(m):
         raise MorphismIsRigid("morphism is rigid; no witness exists")
     g, h = m.source, m.target
@@ -481,13 +497,10 @@ def nonrigidity_witness(m, max_classes=DEFAULT_MAX_CLASSES):
             continue
         s = DivisorClass(g, inv.push(q + t) - shift)
         image = pushforward_class(m, s)
-        if in_theta(g, s) and not in_theta(h, image):
-            return s, image
-    # Fallback: the first class of the source's Θ, in order, that phi_* carries out.
-    theta_g = theta_divisor(g, max_classes=max_classes)
-    for s in _theta_escapes(m, sorted(theta_g, key=lambda c: tuple(c.representative.items()))):
-        return s, pushforward_class(m, s)
-    raise InternalError("non-rigid morphism but theta image matches")
+        if not in_theta(g, s) or in_theta(h, image):
+            raise InternalError("non-rigidity witness failed verification")
+        return s, image
+    raise InternalError("E_phi + v is effective at every vertex v, against the lemma")
 
 
 # -- lifting -----------------------------------------------------------------
@@ -529,7 +542,22 @@ def _lift(m):
     lift there makes tau phi rigid, so only then are its vertex images (up to
     one q-reduction each) read: they must be a bijection, and each edge e must
     have exactly one edge of phi(e)'s class joining the images of its ends.
-    That candidate is verified; psi = {phi(e): assigned(e)} absorbs tau."""
+    That candidate is verified; psi = {phi(e): assigned(e)} absorbs tau.
+
+    Why a lift L = psi tau phi makes tau phi rigid.  E is a cocycle:
+    E_(beta alpha) = beta_*E_alpha + E_beta, as (beta alpha)_* = beta_* alpha_*,
+    (beta alpha)_O = beta_O alpha_O (product rule) and the defect of every full
+    orientation is E (see `nonrigidity_witness`).  Here psi is series-fixing
+    and fixes the base w', head to head.  Let d(e) = +-1 as e runs along the
+    circuit of its series class or against it.  A cycle runs through a whole
+    class one way, so e -> d(e) d(psi e) psi(e) carries every cycle onto
+    itself, and by uniqueness these are psi's signs.  The edges of a class,
+    each oriented along its circuit, share one class [head - tail] (see
+    `_walk`), so psi_* = id.  psi_O keeps each class's number of edges
+    oriented along its circuit, on which [c(U)] alone depends, so E_psi = 0.
+    L is a graph isomorphism carrying base head to head, so E_L = 0, and
+    E_L = psi_*E_(tau phi) + E_psi = E_(tau phi).  As psi_* = id, the vertex
+    images of tau phi are then L's vertex map."""
     g, h = m.source, m.target
     emap = m.edge_dict
     # Series classes are a matroid invariant: phi carries the source's onto the target's.

@@ -178,7 +178,7 @@ class TestCliInfo:
         assert out1 == out2
 
     def test_unexpected_exception_is_internal_error_json(self, capsys, monkeypatch):
-        def broken(args, max_classes):
+        def broken(args):
             raise KeyError("v9")
 
         monkeypatch.setattr(cli, "cmd_info", broken)
@@ -260,8 +260,8 @@ class TestCliWitness:
     }
 
     def test_class_bound_leaves_the_jk_witness_alone(self, capsys):
-        # The witness enumerates Θ only in its fallback, which JK never
-        # reaches, so a bound of one class does not stop it.
+        # The witness enumerates no Θ (the lemma in its docstring), so a
+        # bound of one class does not stop it.
         for bound in ([], ["--max-classes", "1"]):
             argv = ["--no-timings", *bound, "rigidity", fixture_path("JK.morphism.json")]
             code, out = run(capsys, argv)
@@ -442,6 +442,14 @@ class TestCliDivisor:
             ["--no-timings", "divisor", fixture_path("K.graph"), "classify", "w1:1"],
         )
         assert code == 1 and out["error"]["type"] == "WrongDegree"
+
+    def test_reduce_at_a_missing_vertex_is_input_error(self, capsys):
+        code, out = run(
+            capsys,
+            ["--no-timings", "divisor", fixture_path("K.graph"), "reduce", "w1:1", "--q", "zz"],
+        )
+        assert code == 2
+        assert out["error"] == {"type": "ValidationError", "message": "vertex 'zz' not in graph"}
 
     def test_bad_divisor_string_is_input_error(self, capsys):
         code, _ = run(

@@ -1,8 +1,9 @@
 """Source hygiene of the library modules, read with `ast`: every imported
-name is used, in the library and in scripts/, every module-level
-private function is referenced somewhere in the package, every
-module-level search budget is set by some test, every function the
-benchmark's tracer wraps exists, and no module imports `dataclasses`."""
+name is used, in the library and in scripts/, every parameter of a
+library function is read, every module-level private function is
+referenced somewhere in the package, every module-level search budget is
+set by some test, every function the benchmark's tracer wraps exists, and
+no module imports `dataclasses`."""
 
 import ast
 import importlib
@@ -46,6 +47,29 @@ def test_every_imported_name_is_used(path):
         elif isinstance(node, ast.Import):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     assert sorted(imported - _names_read(tree)) == []
+
+
+def _unread_parameters(tree):
+    """Each parameter of a function or lambda that its body, nested
+    functions included, never reads, as "function:parameter"."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}:{p}" for p in params if p not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(_tree(path)) == []
 
 
 def test_no_module_imports_dataclasses():

@@ -66,6 +66,8 @@ from rigidlift.orcyc import (
     lift_matroid_isomorphism,
     lift_to_graph_isomorphism,
     make_morphism,
+    pushforward_class,
+    rigidity_divisor,
     s1_image_preserved,
     theta_preserved,
     validate_cyclic_bijection,
@@ -711,6 +713,34 @@ def test_matroid_lift_reads_vertex_images_only_at_rigid_anchors(monkeypatch):
             assert calls[0] <= 2 * len(result.tried) + len(m.source.vertices)
             anchors += len(result.tried)
     assert anchors > 20
+
+
+def test_rigidity_divisor_is_a_cocycle():
+    """E_(beta alpha) = beta_*E_alpha + E_beta, the cocycle of `_lift`'s
+    anchor pruning, on every composable pair of catalogue Whitney flips,
+    series transpositions and their inverses."""
+    pairs, nonzero = 0, 0
+    for g in catalogue():
+        pool = whitney_morphisms(g, limit=3) + series_transposition_morphisms(g)
+        pool += [inverse_morphism(m) for m in pool]
+        for alpha in pool:
+            for beta in pool:
+                if alpha.target == beta.source:
+                    e = rigidity_divisor(compose(beta, alpha))
+                    assert e == pushforward_class(beta, rigidity_divisor(alpha)) + rigidity_divisor(beta)
+                    pairs += 1
+                    nonzero += not e.is_zero
+    assert pairs == 2428 and nonzero == 448
+
+
+def test_base_fixing_series_transposition_is_rigid_and_pushes_forward_as_the_identity():
+    """`_lift`'s anchor pruning: a series-fixing psi that fixes the base has
+    psi_* = id, so each vertex is its own image, and E_psi = 0."""
+    swaps = [m for g in catalogue() for m in series_transposition_morphisms(g)]
+    assert len(swaps) == 100
+    for m in swaps:
+        assert is_rigid(m)
+        assert m.vertex_image == {v: v for v in m.source.vertex_ids}
 
 
 def _vertex_image_morphisms():
