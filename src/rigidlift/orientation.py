@@ -28,9 +28,10 @@ from .divisor import (
 )
 from .multigraph import components, id_key
 
-# The two exhaustive scans, over the heads of the oriented edges in
-# `lift_divisor_to_orientation` and over compositions in
-# `_effective_representatives`, raise on reaching candidate MAX_CANDIDATES + 1.
+# The two exhaustive searches raise on reaching candidate MAX_CANDIDATES + 1:
+# the scan over compositions in `_effective_representatives`, and the search
+# over the heads of the free edges in `lift_divisor_to_orientation`, which
+# raises where a scan would but reduces about 2 sqrt(MAX_CANDIDATES) of them.
 MAX_CANDIDATES = 2**16
 
 
@@ -381,8 +382,9 @@ class NotPartiallyOrientable(NamedTuple):
     class.  When ``class_orientable`` is False the effectiveness test
     |d + sum(v)| = 0 failed, so the class is not partially orientable at
     all; when it is True the class is realisable with some unoriented set
-    of the right size, but exhaustive search showed the requested set
-    cannot realise it."""
+    of the right size, but no orientation of the edges off the requested
+    set realises it: `lift_divisor_to_orientation` ruled out every one of
+    them, within its budget."""
 
     test_divisor: Divisor
     reduced_form: Divisor
@@ -390,8 +392,22 @@ class NotPartiallyOrientable(NamedTuple):
 
 
 def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
-    """An orientation in O(G, X) with Chern class ~ d, or a certificate.  For
-    X non-empty the orientations of E - X are tried in turn (`_budgeted`)."""
+    """An orientation in O(G, X) with Chern class ~ d, or a certificate.
+
+    For X non-empty the candidates are the 2^m orientations of the m free
+    edges E - X, numbered from 1 in `product` order: heads t(e) (forward)
+    before o(e), in edge-id order.  The answer is the first candidate whose
+    heads sum to a divisor ~ T = d + sum(v), since the Chern class is the
+    heads minus sum(v).  As `_budgeted` would, it raises when that first fit
+    is past MAX_CANDIDATES, or when none fits and 2^m is.
+
+    Heads add up, so the search meets in the middle (Horowitz-Sahni).  The
+    last b free edges form half B, and A-choice i with B-choice j is
+    candidate i 2^b + j + 1.  A table maps the reduced heads of each
+    B-choice to the smallest such j.  The A-choices are taken in order, each
+    looking up the reduced T - heads(A), so the first hit is the first fit.
+    With N = min(2^m, MAX_CANDIDATES) and b = min(m // 2, floor(log2 N / 2))
+    that is 2^b + ceil(N / 2^b) q-reductions, where a scan makes N."""
     x = frozenset(unoriented_set)
     for e in x:
         if not g.has_edge(e):
@@ -410,16 +426,35 @@ def lift_divisor_to_orientation(g, d, unoriented_set=frozenset()):
         gamma = base_orientation(g)
         delta = d - chern_class(gamma)
         return torsor_act(g, delta, gamma)
-    target = DivisorClass(g, d)
     free = [e for e in g.edge_ids if e not in x]
+    m = len(free)
+    b = min(m // 2, (max(min(2**m, MAX_CANDIDATES), 1).bit_length() - 1) // 2)
     index = g.vertex_index
-    # Every choice of heads, t(e) (forward) before o(e), as chern_class sums them.
-    for heads in _budgeted(product(*((g.t(e), g.o(e)) for e in free))):
-        coeffs = [-1] * len(index)
+
+    def reduced(start, sign, heads):
+        coeffs = list(start)
         for h in heads:
-            coeffs[index[h]] += 1
-        if DivisorClass(g, Divisor._of(g, coeffs)) == target:
-            return PartialOrientation._of_heads(g, dict(zip(free, heads)))
+            coeffs[index[h]] += sign
+        return q_reduce(g, Divisor._of(g, coeffs), g.base_head).vector
+
+    def choices(edges):
+        # Every choice of heads, t(e) (forward) before o(e), as chern_class sums them.
+        return product(*((g.t(e), g.o(e)) for e in edges))
+
+    half_b = list(choices(free[m - b:]))
+    table = {}
+    for j, heads in enumerate(half_b):
+        table.setdefault(reduced([0] * len(index), 1, heads), j)
+    for i, heads in enumerate(choices(free[: m - b])):
+        if i << b >= MAX_CANDIDATES:
+            break
+        j = table.get(reduced(test_class.representative.vector, -1, heads))
+        if j is not None:
+            if (i << b) + j >= MAX_CANDIDATES:
+                break
+            return PartialOrientation._of_heads(g, dict(zip(free, heads + half_b[j])))
+    if 2**m > MAX_CANDIDATES:
+        raise EnumerationBoundExceeded(MAX_CANDIDATES, MAX_CANDIDATES + 1, "candidates")
     return NotPartiallyOrientable(test, test_class.representative, True)
 
 

@@ -18,6 +18,7 @@ from rigidlift.multigraph import (
     whitney_move,
 )
 from rigidlift.orcyc import compose, identity_morphism, make_morphism
+from rigidlift.orientation import PartialOrientation, chern_class
 
 
 def _connected(n, edge_pairs):
@@ -108,6 +109,21 @@ def cycle_plus_chords(n, chords, seed):
             a, b = b, a
         triples.append((f"c{k}", f"y{a}", f"y{b}"))
     return build_graph(triples, rng.choice(triples)[0])
+
+
+def seventeen_free_edges(seed):
+    """(g, d, x): g = cycle_plus_chords(12, 8, 1) with a random set x of
+    three edges unoriented, so 2^17 orientations of the other edges, and d
+    the Chern class of an orientation with three other random edges
+    unoriented.  Seeds 0-7 give the first fits 31104, None, 10493, None,
+    None, 80929, 86718 and 106808 in the product scan's order."""
+    g = cycle_plus_chords(12, 8, 1)
+    rng = random.Random(seed)
+    edges = list(g.edge_ids)
+    x = frozenset(rng.sample(edges, 3))
+    other = frozenset(rng.sample(edges, 3))
+    u = PartialOrientation(g, {e: rng.choice("FB") for e in edges if e not in other})
+    return g, chern_class(u), x
 
 
 def two_sum_whitney_flip(n, seed):

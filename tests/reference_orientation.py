@@ -1,16 +1,17 @@
 """The orientation searches as first written: the torsor action by a fresh
 breadth-first search over a new orientation object at every step, the
 in-degree flow by its own alternating-path search, and the lift with an
-unoriented set by building each candidate orientation.  The differential
-tests in tests/test_orientation_reference.py compare `rigidlift.orientation`
-against them."""
+unoriented set by building each candidate orientation, or by the plain
+product scan with its candidate budget.  The differential tests in
+tests/test_orientation_reference.py compare `rigidlift.orientation` against
+them."""
 
 from collections import deque
 from itertools import product
 
-from rigidlift.divisor import Divisor, DivisorClass
-from rigidlift.errors import DegreeMismatch, InternalError, InvalidMove
-from rigidlift.orientation import EdgeState, PartialOrientation, chern_class
+from rigidlift.divisor import Divisor, DivisorClass, all_vertices_divisor
+from rigidlift.errors import DegreeMismatch, EnumerationBoundExceeded, InternalError, InvalidMove
+from rigidlift.orientation import EdgeState, NotPartiallyOrientable, PartialOrientation, chern_class
 
 
 def _oriented_path(u, src, dst):
@@ -82,6 +83,37 @@ def lift_with_unoriented_set(g, d, x):
         if DivisorClass(g, chern_class(u)) == target:
             return u
     return None
+
+
+def lift_by_product_scan(g, d, x, limit, fits=None):
+    """`lift_divisor_to_orientation(g, d, x)` for x non-empty as a product
+    scan: the orientations of E minus x, heads t(e) (forward) before o(e) in
+    edge-id order, numbered from 1, with EnumerationBoundExceeded(limit,
+    limit + 1) on reaching candidate limit + 1, as `_budgeted` numbers them
+    for MAX_CANDIDATES = limit.  Returns (the answer, the number of the first
+    fit or None).  A candidate's class depends only on its head counts, so
+    `fits` keeps whether each count vector fits, and calls for the same g
+    and d may share it."""
+    test = d + all_vertices_divisor(g)
+    test_class = DivisorClass(g, test)
+    if not test_class.is_effective:
+        return NotPartiallyOrientable(test, test_class.representative), None
+    target = DivisorClass(g, d)
+    free = [e for e in g.edge_ids if e not in x]
+    index = g.vertex_index
+    fits = {} if fits is None else fits
+    for n, heads in enumerate(product(*((g.t(e), g.o(e)) for e in free)), 1):
+        if n > limit:
+            raise EnumerationBoundExceeded(limit, limit + 1, "candidates")
+        coeffs = [-1] * len(index)
+        for h in heads:
+            coeffs[index[h]] += 1
+        key = tuple(coeffs)
+        if key not in fits:
+            fits[key] = DivisorClass(g, Divisor._of(g, key)) == target
+        if fits[key]:
+            return PartialOrientation._of_heads(g, dict(zip(free, heads))), n
+    return NotPartiallyOrientable(test, test_class.representative, True), None
 
 
 def orient_with_indegrees(g, demand):

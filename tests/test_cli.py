@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cycle_plus_chords, digon_cycle_pair, two_sum_whitney_flip
+from helpers import cycle_plus_chords, digon_cycle_pair, seventeen_free_edges, two_sum_whitney_flip
 
 import rigidlift
 from rigidlift import cli
@@ -601,6 +601,24 @@ class TestCliOrient:
             "limit": 100,
             "reached": 101,
         }
+
+    def test_liftdiv_past_the_default_candidate_bound_is_domain_error(self, capsys, tmp_path):
+        # 2^17 orientations off the unoriented set: no fit (seed 1), and a
+        # first fit at candidate 80,929 (seed 5).
+        for seed in (1, 5):
+            g, d, x = seventeen_free_edges(seed)
+            graph = tmp_path / f"seventeen{seed}.graph"
+            lines = [f"edge {e} {g.o(e)} {g.t(e)}\n" for e in g.edge_ids]
+            graph.write_text("".join(lines) + f"base {g.base_edge}\n")
+            argv = ["--no-timings", "orient", str(graph), "liftdiv", format_divisor(d), "--unoriented", ",".join(sorted(x))]
+            code, out = run(capsys, argv)
+            assert code == 1
+            assert out["error"] == {
+                "type": "EnumerationBoundExceeded",
+                "message": "more than 65536 candidates",
+                "limit": 65536,
+                "reached": 65537,
+            }
 
     def test_certify_on_long_cycle_needs_no_recursion(self, tmp_path):
         n = 1200

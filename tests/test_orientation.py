@@ -436,6 +436,39 @@ class TestSearchBudget:
                 lift_divisor_to_orientation(g, d, x)
             assert (exc.value.limit, exc.value.reached) == (bound, bound + 1)
 
+    def test_orientation_scan_meets_in_the_middle(self, monkeypatch):
+        """2^b reductions of the heads of the last b free edges, one for
+        each choice of the others within the budget, and one of d + sum(v):
+        at most 2^5 + 2^6 + 1 for the 11 free edges above, where a product
+        scan makes 2,050, and 2^8 + 2^8 + 1 for 2^17 candidates at the
+        default budget, where it makes 65,538."""
+        from helpers import cycle_plus_chords, seventeen_free_edges
+
+        # Every call of divisor.q_reduce, through divisor's binding
+        # (DivisorClass) or orientation's.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return q_reduce(*args)
+
+        for name in ("rigidlift.divisor", "rigidlift.orientation"):
+            monkeypatch.setattr(sys.modules[name], "q_reduce", counted)
+        g = cycle_plus_chords(8, 5, 1)
+        result = lift_divisor_to_orientation(g, Divisor(g, {"y0": 3}), frozenset({"c0", "c9"}))
+        assert isinstance(result, NotPartiallyOrientable) and result.class_orientable
+        assert len(calls) <= 2**5 + 2**6 + 1
+        for seed in range(8):
+            del calls[:]
+            g, d, x = seventeen_free_edges(seed)
+            if seed in (0, 2):  # the first fit is within the budget
+                assert isinstance(lift_divisor_to_orientation(g, d, x), PartialOrientation)
+            else:
+                with pytest.raises(EnumerationBoundExceeded) as exc:
+                    lift_divisor_to_orientation(g, d, x)
+                assert (exc.value.limit, exc.value.reached) == (2**16, 2**16 + 1)
+            assert len(calls) <= 2**8 + 2**8 + 1
+
     def test_sourceless_scan_stops_past_its_bound(self, monkeypatch):
         from helpers import cycle_plus_chords
 

@@ -1,20 +1,25 @@
 """Differential tests: the torsor action, the in-degree flow and the lift
 with an unoriented set against the searches as first written
-(tests/reference_orientation.py).  The outputs are compared byte for byte
-as orientation strings, so the order in which the one path-reversal search
-takes edges is pinned, on the catalogue, random multigraphs, chorded
-cycles and copies of them with mixed string and integer ids."""
+(tests/reference_orientation.py), and the meet-in-the-middle lift against
+the product scan at a sweep of candidate budgets.  The outputs are compared
+byte for byte as orientation strings, so the order in which the one
+path-reversal search takes edges is pinned, on the catalogue, random
+multigraphs, chorded cycles and copies of them with mixed string and
+integer ids."""
 
 import random
+import sys
 from functools import lru_cache
 
 import reference_orientation as ref
 import test_multigraph
-from helpers import catalogue, cycle_plus_chords, random_multigraph
+from helpers import catalogue, cycle_plus_chords, random_multigraph, seventeen_free_edges
 
 from rigidlift.divisor import Divisor, q_reduce
+from rigidlift.errors import EnumerationBoundExceeded
 from rigidlift.graphio import format_orientation
 from rigidlift.orientation import (
+    MAX_CANDIDATES,
     EdgeState,
     NotPartiallyOrientable,
     PartialOrientation,
@@ -140,3 +145,46 @@ def test_lift_with_unoriented_set_matches_reference():
                 assert format_orientation(got) == format_orientation(expected)
                 lifted += 1
     assert (lifted, refused) == (611, 305)
+
+
+def _outcome(lift):
+    """The orientation string or certificate a lift returns, or the
+    (limit, reached) of the EnumerationBoundExceeded it raises."""
+    try:
+        return _show(lift())
+    except EnumerationBoundExceeded as exc:
+        return exc.limit, exc.reached
+
+
+def _budget_sweep(monkeypatch, g, d, x):
+    """The library lift equals the product scan's answer or error with
+    MAX_CANDIDATES at 1, the scan's first fit - 1 and first fit, 2^m - 1,
+    2^m and the default; returns the first fit, or None."""
+    m, fits = len(g.edge_ids) - len(x), {}
+    _, first = ref.lift_by_product_scan(g, d, x, 2**m, fits)
+    budgets = {1, 2**m - 1, 2**m, MAX_CANDIDATES}
+    if first is not None:
+        budgets |= {first - 1, first}
+    for bound in sorted(budgets):
+        monkeypatch.setattr(sys.modules["rigidlift.orientation"], "MAX_CANDIDATES", bound)
+        expected = _outcome(lambda: ref.lift_by_product_scan(g, d, x, bound, fits)[0])
+        assert _outcome(lambda: lift_divisor_to_orientation(g, d, x)) == expected
+    return first
+
+
+def test_lift_budget_sweep_matches_product_scan(monkeypatch):
+    rng = random.Random(5)
+    firsts = []
+    for g in _graphs():
+        edges = list(g.edge_ids)
+        x = frozenset(rng.sample(edges, rng.randint(max(1, len(edges) - 8), len(edges) - 1)))
+        other = frozenset(rng.sample(edges, len(x)))
+        u = PartialOrientation(g, {e: rng.choice(_STATES[:2]) for e in edges if e not in other})
+        firsts.append(_budget_sweep(monkeypatch, g, chern_class(u), x))
+    fits = [k for k in firsts if k is not None]
+    assert (len(fits), sum(k > 1 for k in fits), max(fits)) == (308, 239, 107)
+
+
+def test_lift_budget_sweep_on_seventeen_free_edges(monkeypatch):
+    firsts = [_budget_sweep(monkeypatch, *seventeen_free_edges(seed)) for seed in (1, 2)]
+    assert firsts == [None, 10493]

@@ -28,9 +28,9 @@ from rigidlift.orcyc import is_rigid, nonrigidity_witness, pushforward_class, ri
 
 def test_witness_matches_reference(monkeypatch, jk_morphism):
     """On every non-rigid based catalogue morphism and on JK, the library
-    witness equals the reference's, and none reaches the fallback: the
-    library's Θ enumeration fails if called, while the reference keeps its
-    own."""
+    witness equals the reference's.  The library enumerates no Θ, so its
+    `theta_divisor` fails if called; the reference keeps its own for its
+    up-front Θ sets and its fallback."""
     non_rigid = [m for m in _based_morphisms() if not is_rigid(m)]
     assert len(non_rigid) == 917
     _forbid(monkeypatch, sys.modules["rigidlift.orcyc"], "theta_divisor")
