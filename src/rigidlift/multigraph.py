@@ -277,8 +277,9 @@ def _max_flow(g, s, t):
 
 def series_classes(g):
     """Partition edges into series classes (pairs whose removal disconnects),
-    each class and the list of classes in edge-id order (`series_table`)."""
-    return list(dict.fromkeys(block for block, _ in series_table(g).values()))
+    each class and the list of classes in edge-id order (`series_table`).
+    The table shares one tuple per class, so classes are told apart by identity."""
+    return list({id(block): block for block, _ in series_table(g).values()}.values())
 
 
 @lru_cache(maxsize=256)

@@ -41,7 +41,6 @@ from .multigraph import (
     cycle_basis,
     cycle_masks,
     id_key,
-    series_classes,
     series_table,
     tie_bits,
 )
@@ -54,9 +53,10 @@ from .orientation import (
 
 
 def _require_bijection(g, h, edge_map, require_base):
-    if set(edge_map) != set(g.edge_ids) or set(edge_map.values()) != set(h.edge_ids):
+    images = set(edge_map.values())
+    if edge_map.keys() != g._edges.keys() or images != h._edges.keys():
         raise NotBijection("edge_map is not a bijection between the edge sets")
-    if len(set(edge_map.values())) != len(edge_map):
+    if len(images) != len(edge_map):
         raise NotBijection("edge_map is not injective")
     if require_base and edge_map[g.base_edge] != h.base_edge:
         image = edge_map[g.base_edge]
@@ -121,27 +121,32 @@ class OrCycMorphism:
         source's breadth-first tree (`cycle_basis`), so [v - t0] = [boundary
         p_v].  A signed permutation that carries the cycle lattice onto itself
         also carries the cut lattice onto itself, so phi_*[boundary y] =
-        [boundary phi_*(y)] for every integer chain y.  With
-        img(v) = boundary phi_*(p_v), phi_*[d] = [deg(d) t0' + sum_v d(v) img(v)];
-        img(v) is kept as (target vertex index, coefficient) pairs."""
+        [boundary phi_*(y)] for every integer chain y, and phi_*[d] =
+        [deg(d) t0' + boundary phi_*(sum_v d(v) p_v)].  A tree step u -> w
+        across e lies on p_v for each v below w, so that sum holds it
+        sub(w) times, sub(w) the sum of d over the subtree of w: sub is
+        summed up the tree, children first, and the step adds c sub(w) at
+        t(phi e) and -c sub(w) at o(phi e), c = +-sgn(e) as it crosses e
+        tail-to-head or not."""
         g, h = self.source, self.target
         emap, sgn = self.edge_dict, self.sign_dict
-        index = h.vertex_index
-        img = {g.base_head: ()}
-        for u, e, w in cycle_basis(g, None).tree:
-            c = sgn[e] if g.t(e) == w else -sgn[e]
-            r = emap[e]
-            img[w] = img[u] + ((index[h.t(r)], c), (index[h.o(r)], -c))
-        chains = [img[v] for v in g.vertex_ids]
+        position, index = g.vertex_index, h.vertex_index
+        steps = []  # (u, w, c, t(phi e), o(phi e)) as vertex indices, children first
+        for u, e, w in reversed(cycle_basis(g, None).tree):
+            o, t = h.ends(emap[e])
+            steps.append((position[u], position[w], sgn[e] if g.t(e) == w else -sgn[e], index[t], index[o]))
         t0 = index[h.base_head]
 
         def push(d):
             out = [0] * len(index)
             out[t0] = d.degree
-            for k, chain in zip(d.vector, chains):
-                if k:
-                    for i, a in chain:
-                        out[i] += k * a
+            sub = list(d.vector)
+            for u, w, c, t, o in steps:
+                s = sub[w]
+                if s:
+                    sub[u] += s
+                    out[t] += c * s
+                    out[o] -= c * s
             return Divisor._of(h, out)
 
         return push
@@ -175,22 +180,31 @@ class OrCycMorphism:
         sgn(f) times f's direction on it is +1.  So if phi_*[u] = [x] and x
         is the tail of phi(f) for an f of the class (tail and head taken the
         way the step runs along C; for f = e, the end of r the step leaves),
-        w goes to its head y.  Otherwise push(w) is q-reduced once: [w] is a
-        vertex class iff that form is one chip, and else it is kept minus q."""
+        w goes to its head y.  A class of two or more edges is read through
+        the map tail -> head of its images along C and its inverse
+        (`_along_circuit`), made at the class's first step and kept under the
+        class object's identity; a step against C reads the inverse.
+        Otherwise push(w) is q-reduced once: [w] is a vertex class iff that
+        form is one chip, and else it is kept minus q."""
         g, h = self.source, self.target
         emap, sgn, series = self.edge_dict, self.sign_dict, series_table(g)
         qi = h.vertex_index[h.base_head]
         images, reduced = {g.base_head: h.base_head}, {}
+        maps = {}  # id of a series class -> its `_along_circuit` maps
         for u, e, w in cycle_basis(g, None).tree:
-            x, y = images[u], None
+            x = images[u]
             block, way = series[e]
-            way = way if g.t(e) == w else -way  # +1 iff the step runs along C
-            for f in block:
-                o, t = h.ends(emap[f])
-                tail, head = (o, t) if way * series[f][1] * sgn[f] == 1 else (t, o)
-                if tail == x:
-                    y = head
-                    break
+            forward = g.t(e) == w  # the step crosses e tail-to-head
+            if len(block) == 1:
+                tail, head = h.ends(emap[e])
+                if forward != (sgn[e] == 1):  # c = -1
+                    tail, head = head, tail
+                y = head if tail == x else None
+            else:
+                pair = maps.get(id(block))
+                if pair is None:
+                    pair = maps[id(block)] = _along_circuit(h, block, emap, sgn, series)
+                y = pair[forward != (way == 1)].get(x)  # the inverse iff the step runs against C
             if y is None:
                 form = DivisorClass(h, self.push(vertex_divisor(g, w))).representative
                 chips = form.items()
@@ -227,6 +241,21 @@ class OrCycMorphism:
 
     def __repr__(self):
         return f"OrCycMorphism({self.source!r} -> {self.target!r})"
+
+
+def _along_circuit(h, block, emap, sgn, series):
+    """(tail -> head, head -> tail) over the images phi(f) of a series class,
+    each oriented the way the image of the class's circuit C crosses it: from
+    o to t iff sgn(f) times f's direction on C is +1 (see `_walk`).  The
+    first f of the class wins a shared end, as a scan in class order would."""
+    ahead, back = {}, {}
+    for f in block:
+        tail, head = h.ends(emap[f])
+        if series[f][1] * sgn[f] != 1:
+            tail, head = head, tail
+        ahead.setdefault(tail, head)
+        back.setdefault(head, tail)
+    return ahead, back
 
 
 def _freeze_map(d, keys):
@@ -300,8 +329,15 @@ def make_morphism(g, h, edge_map):
             if not bridgeless:
                 raise NotTwoEdgeConnected(f"{graph!r} is not 2-edge-connected")
         raise
-    keys = g.edge_ids
-    return OrCycMorphism(g, h, _freeze_map(edge_map, keys), _freeze_map(signs, keys))
+    return _morphism(g, h, {e: edge_map[e] for e in g.edge_ids}, signs)
+
+
+def _morphism(g, h, edges, signs):
+    """The morphism of the edge map and the signs as dicts in source
+    edge-id order, kept as its `edge_dict` and `sign_dict`."""
+    m = OrCycMorphism(g, h, tuple(edges.items()), tuple(signs.items()))
+    m.edge_dict, m.sign_dict = edges, signs
+    return m
 
 
 def identity_morphism(g):
@@ -525,13 +561,12 @@ def _anchored(m, anchor, reverse):
     base differs from m's target, so 2-connectivity is not checked again."""
     g, h = m.source, m.target
     w = h.base_edge
-    pairs = tuple((e, anchor if r == w else w if r == anchor else r) for e, r in m.edge_map)
+    emap = {e: anchor if r == w else w if r == anchor else r for e, r in m.edge_map}
     edges = h.edges
     if reverse:
         edges[anchor] = edges[anchor][::-1]
     target = Multigraph(h.vertices, edges, anchor)
-    signs = compute_signs(g, target, dict(pairs))
-    return OrCycMorphism(g, target, pairs, _freeze_map(signs, g.edge_ids))
+    return _morphism(g, target, emap, compute_signs(g, target, emap))
 
 
 def _lift(m):
@@ -559,33 +594,38 @@ def _lift(m):
     E_L = psi_*E_(tau phi) + E_psi = E_(tau phi).  As psi_* = id, the vertex
     images of tau phi are then L's vertex map."""
     g, h = m.source, m.target
-    emap = m.edge_dict
-    # Series classes are a matroid invariant: phi carries the source's onto the target's.
-    images = [tuple(emap[e] for e in block) for block in series_classes(g)]
-    block_of = {r: image for image in images for r in image}
-    joining = {}  # (series class, pair of ends) -> the edges of the class joining them
+    emap, series = m.edge_dict, series_table(g)
+    # Series classes are a matroid invariant: phi carries the source's onto
+    # the target's, so r's class is that of phi^-1(r), compared by identity.
+    class_of = {r: series[e][0] for e, r in emap.items()}
+    by_ends = {}  # (tail, head) -> the target edges from tail to head
     for r in h.edge_ids:
-        joining.setdefault((block_of[r], frozenset(h.ends(r))), []).append(r)
+        by_ends.setdefault(h.ends(r), []).append(r)
     w = h.base_edge
-    anchors = tuple(sorted(block_of[w], key=lambda r: (r != w, id_key(r))))
+    anchors = tuple(sorted((emap[e] for e in class_of[w]), key=lambda r: (r != w, id_key(r))))
     for k, anchor in enumerate(anchors):
         for reverse in (False, True):
             anchored = m if anchor == w and not reverse else _anchored(m, anchor, reverse)
             vertex_map = dict(anchored.vertex_image) if anchored.rigidity.is_zero else {}
             if not _is_onto(vertex_map, h.vertices):
                 continue
-            choices = [
-                joining.get((block_of[emap[e]], frozenset(vertex_map[p] for p in g.ends(e))), ())
-                for e in g.edge_ids
-            ]
-            if any(len(c) != 1 for c in choices):
-                continue
-            assigned = {e: c[0] for e, c in zip(g.edge_ids, choices)}
-            _verify_isomorphism(g, h, assigned, vertex_map)
-            psi = {emap[e]: assigned[e] for e in g.edge_ids}
-            if any(r2 not in block_of[r] for r, r2 in psi.items()):
-                raise InternalError("correction permutation is not series fixing")
-            return (psi, vertex_map), anchors[: k + 1]
+            assigned = {}
+            for e in g.edge_ids:
+                block = series[e][0]
+                a, b = g.ends(e)
+                a, b = vertex_map[a], vertex_map[b]
+                choices = [
+                    r for pair in ((a, b), (b, a)) for r in by_ends.get(pair, ()) if class_of[r] is block
+                ]
+                if len(choices) != 1:
+                    break
+                assigned[e] = choices[0]
+            else:
+                _verify_isomorphism(g, h, assigned, vertex_map)
+                psi = {emap[e]: r for e, r in assigned.items()}
+                if any(class_of[r2] is not class_of[r] for r, r2 in psi.items()):
+                    raise InternalError("correction permutation is not series fixing")
+                return (psi, vertex_map), anchors[: k + 1]
     return None, anchors
 
 
@@ -600,7 +640,10 @@ def _verify_isomorphism(g, h, edge_map, vertex_map):
     if not _is_onto(edge_map, set(h.edge_ids)):
         raise InternalError("edge map is not a bijection")
     for e in g.edge_ids:
-        if frozenset(h.ends(edge_map[e])) != frozenset(vertex_map[p] for p in g.ends(e)):
+        o, t = h.ends(edge_map[e])
+        a, b = g.ends(e)
+        a, b = vertex_map[a], vertex_map[b]
+        if not (a == o and b == t or a == t and b == o):
             raise InternalError(f"adjacency not preserved at edge {e!r}")
 
 

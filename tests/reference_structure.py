@@ -10,10 +10,15 @@ fundamental cycle in the source's tree and in its image (`walk_basis`,
 image traversed as a simple cycle, the lift to a graph isomorphism
 that rebuilds phi_* and the vertex-class table on every call and grows
 the vertex map edge by edge, and Θ preservation as a comparison of the
-two enumerated Θ sets."""
+two enumerated Θ sets.  The anchored lift is also kept in the form whose
+work grows with the length of each edge's series class: phi_* from one
+chain of tree steps per vertex (`chain_push`), the vertex images from a
+scan of the step's series class (`scan_walk`), the edges matched by
+class tuples and frozensets of their ends (`series_lift`), and the
+verification by frozensets (`verify_isomorphism`)."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 from rigidlift.divisor import Divisor, DivisorClass, theta_divisor, vertex_divisor
@@ -24,12 +29,22 @@ from rigidlift.errors import (
     NoCommonCycle,
     NotTwoEdgeConnected,
 )
-from rigidlift.multigraph import EdgePath, bfs_tree, cycle_through_edges, id_key
+from rigidlift.multigraph import (
+    EdgePath,
+    Multigraph,
+    bfs_tree,
+    cycle_basis,
+    cycle_through_edges,
+    id_key,
+    series_table,
+)
 from rigidlift.orcyc import (
+    OrCycMorphism,
+    _is_onto,
     _require_genus,
-    _verify_isomorphism,
     pushforward_orientation,
 )
+from rigidlift.orcyc import compute_signs as library_signs
 from rigidlift.orientation import base_orientation, chern_class
 
 
@@ -481,7 +496,7 @@ def lift_to_graph_isomorphism(m):
             raise InternalError("lift construction stalled; graph disconnected?")
 
     psi = {emap[e]: assigned[e] for e in g.edge_ids}
-    _verify_isomorphism(g, h, assigned, vertex_map)
+    verify_isomorphism(g, h, assigned, vertex_map)
     for r, r2 in psi.items():
         if r2 not in block_of[r]:
             raise InternalError("correction permutation is not series fixing")
@@ -520,3 +535,139 @@ def find_arches(g):
             x = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
             arches.append((tips, x, frozenset(edges) - x))
     return sorted(arches, key=lambda a: ([id_key(t) for t in a[0]], sorted(id_key(e) for e in a[1])))
+
+
+# -- the anchored lift with work per class length ---------------------------
+
+
+def chain_push(m):
+    """phi_* on divisors from img(v) = boundary phi_*(p_v), p_v the chain of
+    the tree path from t0 to v in `cycle_basis`, kept as 2 depth(v) pairs."""
+    g, h = m.source, m.target
+    emap, sgn = dict(m.edge_map), dict(m.signs)
+    index = h.vertex_index
+    img = {g.base_head: ()}
+    for u, e, w in cycle_basis(g, None).tree:
+        c = sgn[e] if g.t(e) == w else -sgn[e]
+        r = emap[e]
+        img[w] = img[u] + ((index[h.t(r)], c), (index[h.o(r)], -c))
+    chains = [img[v] for v in g.vertex_ids]
+    t0 = index[h.base_head]
+
+    def push(d):
+        out = [0] * len(index)
+        out[t0] = d.degree
+        for k, chain in zip(d.vector, chains):
+            if k:
+                for i, a in chain:
+                    out[i] += k * a
+        return Divisor._of(h, out)
+
+    return push
+
+
+def scan_walk(m):
+    """(images, reduced) as `OrCycMorphism._walk` returns them, each tree
+    step scanning its series class for the edge that leaves the image of
+    the vertex it comes from."""
+    g, h = m.source, m.target
+    emap, sgn, series = dict(m.edge_map), dict(m.signs), series_table(g)
+    push = chain_push(m)
+    qi = h.vertex_index[h.base_head]
+    images, reduced = {g.base_head: h.base_head}, {}
+    for u, e, w in cycle_basis(g, None).tree:
+        x, y = images[u], None
+        block, way = series[e]
+        way = way if g.t(e) == w else -way
+        for f in block:
+            o, t = h.ends(emap[f])
+            tail, head = (o, t) if way * series[f][1] * sgn[f] == 1 else (t, o)
+            if tail == x:
+                y = head
+                break
+        if y is None:
+            form = DivisorClass(h, push(vertex_divisor(g, w))).representative
+            chips = form.items()
+            if len(chips) == 1 and chips[0][1] == 1:
+                y = chips[0][0]
+            else:
+                r_w = list(form.vector)
+                r_w[qi] -= 1
+                reduced[w] = tuple((i, a) for i, a in enumerate(r_w) if a)
+        images[w] = y
+    return images, reduced
+
+
+def chain_rigidity(m):
+    """E_phi = phi_*[c(O_G)] - [c(phi_O(O_G))] through `chain_push`."""
+    g, h = m.source, m.target
+    emap, sgn = dict(m.edge_map), dict(m.signs)
+    heads = Counter(g.t(e) for e in g.edge_ids)
+    chern = Divisor(g, {v: heads[v] - 1 for v in g.vertex_ids})
+    d = [a + 1 for a in chain_push(m)(chern).vector]  # minus c(phi_O(O_G)): + 1 per vertex, - its heads
+    index = h.vertex_index
+    for e in g.edge_ids:
+        o, t = h.ends(emap[e])
+        d[index[t if sgn[e] == 1 else o]] -= 1
+    return DivisorClass(h, Divisor._of(h, d))
+
+
+def anchored(m, anchor, reverse):
+    """tau phi onto the target based at `anchor`, reversed if `reverse`."""
+    g, h = m.source, m.target
+    w = h.base_edge
+    pairs = tuple((e, anchor if r == w else w if r == anchor else r) for e, r in m.edge_map)
+    edges = h.edges
+    if reverse:
+        edges[anchor] = edges[anchor][::-1]
+    target = Multigraph(h.vertices, edges, anchor)
+    signs = library_signs(g, target, dict(pairs))
+    return OrCycMorphism(g, target, pairs, tuple((e, signs[e]) for e in g.edge_ids))
+
+
+def series_lift(m):
+    """`orcyc._lift`: ((psi, vertex map) or None, the anchors tried), each
+    edge matched through a table keyed by (image class tuple, frozenset of
+    ends), the images and rigidity of each anchor from `scan_walk` and
+    `chain_rigidity`."""
+    g, h = m.source, m.target
+    emap = dict(m.edge_map)
+    blocks = dict.fromkeys(block for block, _ in series_table(g).values())
+    images = [tuple(emap[e] for e in block) for block in blocks]
+    block_of = {r: image for image in images for r in image}
+    joining = {}
+    for r in h.edge_ids:
+        joining.setdefault((block_of[r], frozenset(h.ends(r))), []).append(r)
+    w = h.base_edge
+    anchors = tuple(sorted(block_of[w], key=lambda r: (r != w, id_key(r))))
+    for k, anchor in enumerate(anchors):
+        for reverse in (False, True):
+            tried = m if anchor == w and not reverse else anchored(m, anchor, reverse)
+            vertex_map = dict(scan_walk(tried)[0]) if chain_rigidity(tried).is_zero else {}
+            if not _is_onto(vertex_map, h.vertices):
+                continue
+            choices = [
+                joining.get((block_of[emap[e]], frozenset(vertex_map[p] for p in g.ends(e))), ())
+                for e in g.edge_ids
+            ]
+            if any(len(c) != 1 for c in choices):
+                continue
+            assigned = {e: c[0] for e, c in zip(g.edge_ids, choices)}
+            verify_isomorphism(g, h, assigned, vertex_map)
+            psi = {emap[e]: assigned[e] for e in g.edge_ids}
+            if any(r2 not in block_of[r] for r, r2 in psi.items()):
+                raise InternalError("correction permutation is not series fixing")
+            return (psi, vertex_map), anchors[: k + 1]
+    return None, anchors
+
+
+def verify_isomorphism(g, h, edge_map, vertex_map):
+    """InternalError unless the maps are bijections and each edge's ends
+    go to the ends of its image, compared as frozensets."""
+    if vertex_map.keys() != g.vertices or not _is_onto(vertex_map, h.vertices):
+        raise InternalError("vertex map is not a bijection")
+    if not _is_onto(edge_map, set(h.edge_ids)):
+        raise InternalError("edge map is not a bijection")
+    for e in g.edge_ids:
+        if frozenset(h.ends(edge_map[e])) != frozenset(vertex_map[p] for p in g.ends(e)):
+            raise InternalError(f"adjacency not preserved at edge {e!r}")

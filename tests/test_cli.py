@@ -586,7 +586,8 @@ class TestCliOrient:
         assert code == 0 and out["branch"] == "acyclic"
 
     def test_liftdiv_past_the_candidate_bound_is_domain_error(self, capsys, tmp_path, monkeypatch):
-        # 2^11 orientations of the edges off the unoriented set are tried.
+        # None of the 2^11 orientations of the edges off the unoriented set fits,
+        # so the bound of 100 candidates refuses the search.
         g = cycle_plus_chords(8, 5, 1)
         graph = tmp_path / "chords.graph"
         lines = [f"edge {e} {g.o(e)} {g.t(e)}\n" for e in g.edge_ids]

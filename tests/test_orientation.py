@@ -422,7 +422,7 @@ class TestSearchBudget:
     def test_orientation_scan_stops_past_its_bound(self, monkeypatch):
         from helpers import cycle_plus_chords
 
-        # No orientation of the 11 edges off X fits: all 2^11 are tried.
+        # No orientation of the 11 edges off X fits, so a bound below 2^11 refuses the search.
         g = cycle_plus_chords(8, 5, 1)
         x, d = frozenset({"c0", "c9"}), Divisor(g, {"y0": 3})
         expected = lift_divisor_to_orientation(g, d, x)

@@ -1,7 +1,8 @@
 """Differential tests: the cycle-signature series classes and
 2-connectivity and the fundamental-cycle signs against the graph-structure
-layer as first written (tests/reference_structure.py), and the matroid lift
-against a brute force over vertex bijections (tests/helpers.py)."""
+layer as first written (tests/reference_structure.py), the lift op against
+its form that scans each edge's series class (same file), and the matroid
+lift against a brute force over vertex bijections (tests/helpers.py)."""
 
 import random
 import sys
@@ -52,6 +53,7 @@ from rigidlift.multigraph import (
     find_arches,
     fundamental_cycles,
     series_classes,
+    series_table,
     spanning_tree_count,
 )
 from rigidlift.orientation import EdgeState, PartialOrientation, base_orientation
@@ -72,6 +74,7 @@ from rigidlift.orcyc import (
     theta_preserved,
     validate_cyclic_bijection,
 )
+from rigidlift.orcyc import _lift, _verify_isomorphism
 
 
 def _triples(g, tag):
@@ -557,6 +560,129 @@ def test_lift_and_s1_match_reference_at_every_base():
     # Every rigid morphism lifts, with the base inside a series class too.
     assert reference_failures == 2
     assert set(rigid_outcomes) == {"lift"} and rigid_outcomes["lift"] > 1000
+
+
+def _random_divisors(g, rng, count):
+    return [Divisor(g, {v: rng.randint(-3, 3) for v in g.vertex_ids}) for _ in range(count)]
+
+
+def assert_lift_matches_the_class_scan(m, rng):
+    """The dicts kept from make_morphism, phi_* on random divisors, E_phi,
+    the vertex-image walk and `_lift` (psi, vertex map, anchors tried)
+    against the oracles that scan each edge's series class."""
+    assert m.edge_dict == dict(m.edge_map) and m.sign_dict == dict(m.signs)
+    push = ref.chain_push(m)
+    for d in _random_divisors(m.source, rng, 3):
+        assert m.push(d).vector == push(d).vector
+    assert m.rigidity == ref.chain_rigidity(m)
+    assert m._walk == ref.scan_walk(m)
+    assert _outcome(_lift, m) == _outcome(ref.series_lift, m)
+
+
+def test_lift_matches_the_class_scan_at_every_base():
+    rng = random.Random(31)
+    kinds = Counter()
+    for m in _based_morphisms():
+        assert_lift_matches_the_class_scan(m, rng)
+        found, tried = _lift(m)
+        kinds[found is not None, len(tried)] += 1
+    assert sum(kinds.values()) == 2509
+    assert kinds[True, 1] > 1000 and kinds[True, 2] > 100 and kinds[True, 3] > 0
+    assert kinds[False, 1] > 100 and kinds[False, 3] > 0
+
+
+def _long_class_transposition(n):
+    """A relabelled copy of cycle_plus_chords(n, 2, 1) after a transposition
+    of two edges a third of the way apart in the longest series class off
+    the base."""
+    g = cycle_plus_chords(n, 2, 1)
+    h, emap = relabelled(g, random.Random(n))
+    block = max((b for b in series_classes(h) if h.base_edge not in b), key=len)
+    to_src = {r: e for e, r in emap.items()}
+    a, b = block[len(block) // 3], block[2 * len(block) // 3]
+    emap[to_src[a]], emap[to_src[b]] = b, a
+    return g, h, emap, len(block)
+
+
+def test_lift_matches_the_class_scan_on_long_series_classes():
+    rng = random.Random(64)
+    for n in (64, 128, 256, 512, 1024):
+        g, h, emap, length = _long_class_transposition(n)
+        assert length >= n // 5
+        m = make_morphism(g, h, emap)
+        assert_lift_matches_the_class_scan(m, rng)
+        psi, vertex_map = lift_to_graph_isomorphism(m)
+        assert_lift(g, h, emap, psi, vertex_map)
+        assert psi != {r: r for r in h.edge_ids}
+
+
+def _verification(g, h, edge_map, vertex_map, verify):
+    try:
+        verify(g, h, edge_map, vertex_map)
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+def test_verify_isomorphism_matches_the_frozenset_oracle():
+    """Each lift found at every base is accepted by both verifications, and
+    both refuse it, with the same message, after two edges with different
+    ends swap images, after a vertex is dropped, or after two vertex
+    images swap."""
+    rng = random.Random(5)
+    outcomes = Counter()
+    for m in _based_morphisms():
+        found, _ = _lift(m)
+        if found is None:
+            continue
+        (psi, vertex_map), g, h = found, m.source, m.target
+        assigned = {e: psi[m.edge_dict[e]] for e in g.edge_ids}
+        e, f = rng.sample(g.edge_ids, 2)
+        swapped_vertices = dict(vertex_map)
+        u, v = rng.sample(list(g.vertices), 2)
+        swapped_vertices[u], swapped_vertices[v] = vertex_map[v], vertex_map[u]
+        dropped = dict(vertex_map)
+        del dropped[u]
+        cases = [
+            (assigned, vertex_map),
+            ({**assigned, e: assigned[f], f: assigned[e]}, vertex_map),
+            (assigned, swapped_vertices),
+            (assigned, dropped),
+        ]
+        for edge_map, vmap in cases:
+            expected = _verification(g, h, edge_map, vmap, ref.verify_isomorphism)
+            assert _verification(g, h, edge_map, vmap, _verify_isomorphism) == expected
+            outcomes[expected if expected is None else expected.split()[0]] += 1
+    assert outcomes[None] > 2000 and outcomes["adjacency"] > 1000 and outcomes["vertex"] > 1000
+
+
+def test_lift_op_work_is_linear_in_the_edges(monkeypatch):
+    """One lift op on a 1,024-vertex chorded cycle whose series classes are
+    hundreds of edges long reads each edge's ends a bounded number of times:
+    about 12 reads per edge, where a scan of the step's series class at
+    each tree step makes about 249,000 reads here."""
+    g, h, emap, _ = _long_class_transposition(1024)
+    cycle_basis.cache_clear()
+    series_table.cache_clear()
+    reads = [0]
+    for name in ("ends", "o", "t"):
+        original = getattr(Multigraph, name)
+
+        def counting(graph, e, original=original):
+            reads[0] += 1
+            return original(graph, e)
+
+        monkeypatch.setattr(Multigraph, name, counting)
+    _lift_op(g, h, emap)
+    assert reads[0] <= 16 * len(g.edge_ids)
+
+
+def test_series_classes_are_the_table_objects_in_edge_id_order():
+    for g in catalogue() + (cycle_plus_chords(1024, 2, 1),):
+        table = series_table(g)
+        classes = series_classes(g)
+        assert classes == list(dict.fromkeys(block for block, _ in table.values()))
+        assert all(table[block[0]][0] is block for block in classes)
 
 
 def test_matroid_lift_matches_brute_force():
